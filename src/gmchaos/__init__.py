@@ -88,4 +88,4 @@ from .spectral import (
     write_spectrum_csv,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

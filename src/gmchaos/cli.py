@@ -264,7 +264,7 @@ def _build_config(opts: dict, **overrides) -> harness.ExperimentConfig:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     opts = _resolve(args, _ensemble_options({"out": (str, _REQUIRED), "format": (str, "csv")}))
-    config = _build_config(opts, out=opts["out"], fmt=opts["format"])
+    config = _build_config(opts)
     result = harness.run_ensemble(config, workers=args.workers)
     if opts["format"] == "json":
         harness.export_result(result, "json", opts["out"])
@@ -275,17 +275,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _write_ensemble_spectrum_csv(result: harness.EnsembleResult, path) -> None:
-    """Per-frequency table (n, re, im, abs2[, quantile_50])."""
-    config = result.config
+    """Per-frequency table (n, re, im, abs2[, quantile_50]); quantile_50 is
+    exp of the block median of log |mu_hat|^2, repeated on its block's rows."""
     mean = result.coeff_sum / result.count
     abs2 = result.abs2_sum / result.count
     medians = None
-    if config.statistic == "median":
-        medians = {a: float(np.median(result.reservoirs[a].value)) for a in result.reservoirs}
+    if result.config.statistic == "median":
+        medians = [math.exp(stat) for _, _, stat in harness.block_table(result)]
     with open(path, "w", newline="") as fh:
-        header = "n,re,im,abs2"
-        fh.write(header + (",quantile_50\n" if medians is not None else "\n"))
-        for n in range(1, config.n_max + 1):
+        fh.write("n,re,im,abs2" + (",quantile_50\n" if medians is not None else "\n"))
+        for n in range(1, result.config.n_max + 1):
             row = f"{n},{float(mean[n - 1].real)!r},{float(mean[n - 1].imag)!r},{float(abs2[n - 1])!r}"
             if medians is not None:
                 row += f",{medians[int(math.log2(n))]!r}"
@@ -330,6 +329,7 @@ def cmd_clt(args: argparse.Namespace) -> int:
             {"out": (str, _REQUIRED), "block_lo": (int, 6), "block_hi": (int, 10)}
         ),
     )
+    estimators.clt_exponent(opts["gamma"])  # rejects gamma before any sampling
     config = _build_config(opts)
     result = harness.run_ensemble(config, workers=args.workers)
     profile = harness.clt_profile_from_result(result, opts["block_lo"], opts["block_hi"])
@@ -351,7 +351,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         "count": result.count,
         "fourier_dimension": estimators.fourier_dimension(result.config.gamma),
         "decay": estimators.slope_fit_to_dict(decay),
+        "unit_mass_z": harness.unit_mass_z(result),
     }
+    if result.config.norm_depths:
+        means = (result.norm_sum / result.count).tolist()
+        summary["uniform_bound"] = dict(zip(map(str, result.config.norm_depths), means))
     if result.config.mass_levels:
         summary["l2"] = estimators.slope_fit_to_dict(harness.l2_fit_from_result(result))
     with open(out / "summary.json", "w") as fh:

@@ -12,19 +12,24 @@ uniform-boundedness probe for the weighted coefficient martingale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import spectral
+from . import measure, spectral
 
 SQRT2 = math.sqrt(2.0)
+
+# The two results that hold on less than the sub-critical gamma range.
+POSITIVE_GAMMA = (True, SQRT2, "gamma must lie in (0, sqrt(2))")
+RESCALING_GAMMA = (False, SQRT2 / 2.0, "rescaling regime needs gamma in [0, sqrt(2)/2)")
 
 # Moment order slightly inside the admissible range; the searched pair
 # (p, q) sits this far from the optimizing endpoint.
 SEARCH_EPS = 1e-3
 
-_LOG_FLOOR = 1e-300
+# Floor under |mu_hat|^2 before taking logs, so exact zeros stay finite.
+LOG_FLOOR = 1e-300
 
 
 class NoFeasibleExponentsError(ValueError):
@@ -34,9 +39,7 @@ class NoFeasibleExponentsError(ValueError):
 def fourier_dimension(gamma: float) -> float:
     """Decay exponent of the chaos measure: 1 - gamma^2 below sqrt(2)/2,
     (sqrt(2) - gamma)^2 up to the critical point."""
-    g = float(gamma)
-    if not 0.0 <= g < SQRT2:
-        raise ValueError(f"gamma must lie in [0, sqrt(2)), got {gamma!r}")
+    g = measure.validate_gamma(gamma)
     if g < SQRT2 / 2.0:
         return 1.0 - g**2
     return (SQRT2 - g) ** 2
@@ -44,17 +47,13 @@ def fourier_dimension(gamma: float) -> float:
 
 def power_law_spectrum(gamma: float, q: float) -> float:
     """Moment-scaling exponent (1 + gamma^2/2) q - gamma^2 q^2 / 2."""
-    g = float(gamma)
-    if not 0.0 <= g < SQRT2:
-        raise ValueError(f"gamma must lie in [0, sqrt(2)), got {gamma!r}")
+    g = measure.validate_gamma(gamma)
     return (1.0 + g**2 / 2.0) * q - g**2 * q**2 / 2.0
 
 
 def correlation_dimension(gamma: float) -> float:
     """L2-scaling exponent of interval masses, from the moment spectrum."""
-    g = float(gamma)
-    if not 0.0 <= g < SQRT2:
-        raise ValueError(f"gamma must lie in [0, sqrt(2)), got {gamma!r}")
+    g = measure.validate_gamma(gamma)
     if g == 0.0:
         return 1.0
     if 2.0 <= SQRT2 / g:
@@ -65,9 +64,7 @@ def correlation_dimension(gamma: float) -> float:
 
 def decay_exponent_bound(gamma: float, p: float) -> float:
     """Decay exponent certified by moment order p: 2 + gamma^2 - gamma^2 p - 2/p."""
-    g = float(gamma)
-    if not 0.0 <= g < SQRT2:
-        raise ValueError(f"gamma must lie in [0, sqrt(2)), got {gamma!r}")
+    g = measure.validate_gamma(gamma)
     if not 1.0 < p <= 2.0:
         raise ValueError(f"moment order must lie in (1, 2], got {p!r}")
     return 2.0 + g**2 - g**2 * p - 2.0 / p
@@ -79,11 +76,8 @@ def exponent_margin(gamma: float, tau: float, p: float, q: float) -> float:
     Positive margin makes the localized contributions summable over all
     generations, certifying coefficient decay at exponent tau.
     """
-    g = float(gamma)
-    if not 0.0 <= g < SQRT2:
-        raise ValueError(f"gamma must lie in [0, sqrt(2)), got {gamma!r}")
-    if not 0.0 <= tau < 1.0:
-        raise ValueError(f"tau must lie in [0, 1), got {tau!r}")
+    g = measure.validate_gamma(gamma)
+    spectral._check_tau(tau)
     if not 1.0 < p < 2.0:
         raise ValueError(f"moment order must lie in (1, 2), got {p!r}")
     if q <= 4.0 / (1.0 - tau):
@@ -108,11 +102,8 @@ def find_exponents(gamma: float, tau: float) -> ExponentPlan:
     decay rate; q is the smallest power of two exceeding 4/(1 - tau) that
     leaves the margin positive.
     """
-    g = float(gamma)
-    if not 0.0 < g < SQRT2:
-        raise ValueError(f"gamma must lie in (0, sqrt(2)), got {gamma!r}")
-    if not 0.0 <= tau < 1.0:
-        raise ValueError(f"tau must lie in [0, 1), got {tau!r}")
+    g = measure.validate_gamma(gamma, POSITIVE_GAMMA)
+    spectral._check_tau(tau)
     limit = fourier_dimension(g)
     if tau >= limit:
         raise NoFeasibleExponentsError(
@@ -162,24 +153,36 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
-def _block_exponents(n_lo: int, n_hi: int) -> list[int]:
-    # Complete dyadic blocks [2^a, 2^(a+1)) inside [n_lo, n_hi].
-    out = []
+def dyadic_block_fit(block_stat, n_lo: int, n_hi: int, n_max: int, statistic: str) -> SlopeFit:
+    """Regress a per-block statistic of log |mu_hat(n)|^2 on log n.
+
+    For each complete block [2^a, 2^(a+1)) inside [n_lo, n_hi] (at most
+    n_max), `block_stat(a)` is regressed on the block's mean log-frequency;
+    the slope estimates minus the decay exponent.  decay_slope feeds it
+    pooled raw values, harness.decay_fit_from_result ensemble aggregates.
+    """
+    if n_hi > n_max:
+        raise ValueError(f"n_hi = {n_hi} beyond the available {n_max} frequencies")
+    blocks = []
     a = max(0, math.ceil(math.log2(max(n_lo, 1))))
     while 2 ** (a + 1) <= n_hi + 1:
-        out.append(a)
+        lo, hi = 2**a, 2 ** (a + 1)
+        x = float(np.mean(np.log(np.arange(lo, hi))))
+        blocks.append((float(lo), float(hi), x, float(block_stat(a))))
         a += 1
-    return out
-
-
-def _pool_statistic(values: np.ndarray, statistic: str, q: float | None) -> float:
-    if statistic == "mean":
-        return float(values.mean())
-    if statistic == "median":
-        return float(np.median(values))
-    if statistic == "quantile":
-        return float(np.quantile(values, q))
-    raise ValueError(f"statistic must be mean, median or quantile, got {statistic!r}")
+    if len(blocks) < 4:
+        raise ValueError(f"need at least 4 complete dyadic blocks in [{n_lo}, {n_hi}]")
+    _, _, xs, ys = np.array(blocks).T
+    slope, intercept, stderr = line_fit(xs, ys)
+    return SlopeFit(
+        slope=slope,
+        intercept=intercept,
+        stderr=stderr,
+        lo=blocks[0][0],
+        hi=blocks[-1][1],
+        statistic=statistic,
+        blocks=tuple(blocks),
+    )
 
 
 def decay_slope(
@@ -192,9 +195,8 @@ def decay_slope(
     """Dyadic-block regression of log |mu_hat(n)|^2 against log n.
 
     `abs2` holds |mu_hat(n)|^2 with columns n = 1.. (one row per replica).
-    For each complete block [2^a, 2^(a+1)) inside [n_lo, n_hi], the chosen
-    statistic of the pooled log values is regressed on the block's mean
-    log-frequency; the slope estimates minus the decay exponent.
+    Each block's statistic is taken over the pooled log values of all
+    replicas (see dyadic_block_fit).
     """
     data = np.atleast_2d(np.asarray(abs2, dtype=float))
     replicas, n_max = data.shape
@@ -202,31 +204,19 @@ def decay_slope(
         raise ValueError("quantile statistic needs q")
     if statistic in ("median", "quantile") and replicas < 30:
         raise ValueError(f"{statistic} statistic needs at least 30 replicas, got {replicas}")
-    if n_hi > n_max:
-        raise ValueError(f"n_hi = {n_hi} beyond the available {n_max} frequencies")
-    exponents = _block_exponents(n_lo, n_hi)
-    if len(exponents) < 4:
-        raise ValueError(f"need at least 4 complete dyadic blocks in [{n_lo}, {n_hi}]")
-    xs, ys, blocks = [], [], []
-    for a in exponents:
-        lo, hi = 2**a, 2 ** (a + 1)
-        pooled = np.log(np.maximum(data[:, lo - 1 : hi - 1], _LOG_FLOOR))
-        x = float(np.mean(np.log(np.arange(lo, hi))))
-        y = _pool_statistic(pooled, statistic, q)
-        xs.append(x)
-        ys.append(y)
-        blocks.append((float(lo), float(hi), x, y))
-    slope, intercept, stderr = line_fit(np.array(xs), np.array(ys))
+
+    def block_stat(a: int) -> float:
+        pooled = np.log(np.maximum(data[:, 2**a - 1 : 2 ** (a + 1) - 1], LOG_FLOOR))
+        if statistic == "mean":
+            return float(pooled.mean())
+        if statistic == "median":
+            return float(np.median(pooled))
+        if statistic == "quantile":
+            return float(np.quantile(pooled, q))
+        raise ValueError(f"statistic must be mean, median or quantile, got {statistic!r}")
+
     label = f"quantile({q})" if statistic == "quantile" else statistic
-    return SlopeFit(
-        slope=slope,
-        intercept=intercept,
-        stderr=stderr,
-        lo=float(2 ** exponents[0]),
-        hi=float(2 ** (exponents[-1] + 1)),
-        statistic=label,
-        blocks=tuple(blocks),
-    )
+    return dyadic_block_fit(block_stat, n_lo, n_hi, n_max, label)
 
 
 def l2_spectrum_slope(data, levels) -> SlopeFit:
@@ -237,8 +227,6 @@ def l2_spectrum_slope(data, levels) -> SlopeFit:
     The fit of log mean S against log interval length estimates the
     correlation dimension.
     """
-    from . import measure  # local import to keep module load light
-
     levels = list(levels)
     items = data if isinstance(data, np.ndarray) else list(data)
     if not isinstance(items, np.ndarray) and items and hasattr(items[0], "values"):
@@ -251,7 +239,7 @@ def l2_spectrum_slope(data, levels) -> SlopeFit:
         raise ValueError("one column of S values per level is required")
     mean_s = sums.mean(axis=0)
     x = np.array([math.log(2.0**-lv) for lv in levels])
-    y = np.log(np.maximum(mean_s, _LOG_FLOOR))
+    y = np.log(np.maximum(mean_s, LOG_FLOOR))
     slope, intercept, stderr = line_fit(x, y)
     blocks = tuple((float(lv), float(lv), float(xx), float(yy)) for lv, xx, yy in zip(levels, x, y))
     return SlopeFit(
@@ -268,37 +256,40 @@ def l2_spectrum_slope(data, levels) -> SlopeFit:
 def clt_exponent(gamma: float) -> float:
     """Coefficient rescaling exponent (1 - gamma^2) / 2 of the small-gamma
     fluctuation regime."""
-    g = float(gamma)
-    if not 0.0 <= g < SQRT2 / 2.0:
-        raise ValueError(f"rescaling regime needs gamma in [0, sqrt(2)/2), got {gamma!r}")
+    g = measure.validate_gamma(gamma, RESCALING_GAMMA)
     return (1.0 - g**2) / 2.0
+
+
+def rescaled_variance_profile(
+    var, replicas: int, gamma: float, block_lo_exp: int, block_hi_exp: int
+) -> list[tuple[int, int, float]]:
+    """Per-block variance of the rescaled coefficients n^((1-gamma^2)/2) mu_hat(n).
+
+    `var` holds the ensemble variance of mu_hat(n), n = 1.., over `replicas`
+    replicas (at least 100).  Returns (block_lo, block_hi, variance) for each
+    complete dyadic block between the two exponents, averaged over the block.
+    """
+    exponent = clt_exponent(gamma)
+    if replicas < 100:
+        raise ValueError(f"rescaling profile needs at least 100 replicas, got {replicas}")
+    end = 2**block_hi_exp - 1
+    if end > len(var):
+        raise ValueError(f"blocks end at {end}, beyond the {len(var)} frequencies")
+    out = []
+    for a in range(block_lo_exp, block_hi_exp):
+        lo, hi = 2**a, 2 ** (a + 1)
+        n = np.arange(lo, hi)
+        out.append((lo, hi, float(np.mean(n ** (2.0 * exponent) * var[lo - 1 : hi - 1]))))
+    return out
 
 
 def clt_rescale_profile(
     coefficients, gamma: float, block_lo_exp: int, block_hi_exp: int
 ) -> list[tuple[int, int, float]]:
-    """Per-block ensemble variance of the rescaled coefficients.
-
-    Returns (block_lo, block_hi, variance) for each complete dyadic block
-    between the two exponents; the variance of n^((1-gamma^2)/2) mu_hat(n)
-    is averaged over the block.  Needs at least 100 replicas.
-    """
-    exponent = clt_exponent(gamma)
+    """rescaled_variance_profile of coefficient rows, one per replica."""
     data = np.atleast_2d(np.asarray(coefficients))
-    replicas, n_max = data.shape
-    if replicas < 100:
-        raise ValueError(f"rescaling profile needs at least 100 replicas, got {replicas}")
-    if 2**block_hi_exp - 1 > n_max:
-        raise ValueError(f"blocks end at {2 ** block_hi_exp - 1}, beyond the {n_max} frequencies")
-    out = []
-    for a in range(block_lo_exp, block_hi_exp):
-        lo, hi = 2**a, 2 ** (a + 1)
-        z = data[:, lo - 1 : hi - 1]
-        centred = z - z.mean(axis=0, keepdims=True)
-        var_n = np.mean(np.abs(centred) ** 2, axis=0)
-        n = np.arange(lo, hi)
-        out.append((lo, hi, float(np.mean(n ** (2.0 * exponent) * var_n))))
-    return out
+    var = np.mean(np.abs(data - data.mean(axis=0)) ** 2, axis=0)
+    return rescaled_variance_profile(var, data.shape[0], gamma, block_lo_exp, block_hi_exp)
 
 
 def uniform_bound_probe(
@@ -348,12 +339,4 @@ def write_profile_csv(rows, path) -> None:
 
 
 def slope_fit_to_dict(fit: SlopeFit) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "stderr": fit.stderr,
-        "lo": fit.lo,
-        "hi": fit.hi,
-        "statistic": fit.statistic,
-        "blocks": [list(b) for b in fit.blocks],
-    }
+    return asdict(fit)

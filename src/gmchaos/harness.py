@@ -3,13 +3,13 @@
 A replica is a pure function of (config, replica id); an ensemble is the
 reduction of its replicas through a fixed pairwise summation tree, so the
 result is byte-identical no matter how the replicas were scheduled.
-Aggregates are mergeable: counts and reservoirs merge exactly, floating
+Aggregates are mergeable: counts and histograms merge exactly, floating
 accumulators merge associatively to rounding.
 
-Quantile statistics use bounded mergeable reservoirs: every (replica, n)
-sample carries a deterministic hash priority and each frequency block keeps
-the lowest-priority samples, which makes reservoir contents independent of
-merge order.
+Block medians come from one sparse histogram of log|mu_hat|^2 per dyadic
+frequency block.  Its integer counts merge by addition, so the histogram
+does not depend on merge order, and a median read from it lies within half
+a bin of the exact pooled median of the same replicas.
 """
 
 from __future__ import annotations
@@ -17,16 +17,17 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import estimators, measure, rng, spectral
+from . import estimators, measure, spectral
 from .sampler import GridSpec, sample_hierarchy
 
-VERSION = "gmchaos 0.1.0"
+VERSION = "gmchaos 0.2.0"
 
-RESERVOIR_SIZE = 256
+# Bins per unit of log|mu_hat|^2: medians land within 1/512, far inside slope errors (~0.03).
+BINS_PER_UNIT = 256
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,11 @@ class ExperimentConfig:
     statistic: str = "median"
     norm_depths: tuple[int, ...] = ()
     mass_levels: tuple[int, ...] = ()
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self) -> None:
         measure.validate_gamma(self.gamma)
         grid = GridSpec(self.grid_size)  # validates power of two
-        if not 1 <= self.n_max <= self.grid_size // spectral.NYQUIST_FRACTION:
-            raise ValueError(
-                f"n_max must lie in 1..{self.grid_size // spectral.NYQUIST_FRACTION}"
-            )
+        spectral._check_n_max(self.n_max, grid)
         if self.depth < math.log2(self.n_max) + 2:
             raise ValueError(
                 f"depth {self.depth} too shallow for n_max {self.n_max}; "
@@ -65,8 +61,7 @@ class ExperimentConfig:
             )
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError(f"tau must lie in [0, 1), got {self.tau!r}")
+        spectral._check_tau(self.tau)
         if self.statistic not in ("mean", "median"):
             raise ValueError(f"statistic must be mean or median, got {self.statistic!r}")
         object.__setattr__(self, "norm_depths", tuple(int(d) for d in self.norm_depths))
@@ -75,36 +70,22 @@ class ExperimentConfig:
             raise ValueError("norm depths must lie within the construction depth")
         if any(not 0 <= v <= grid.log2_size for v in self.mass_levels):
             raise ValueError("mass levels must be resolvable on the grid")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
 
     @property
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_size)
-
-    def science_key(self) -> tuple:
-        """Fields that must agree for two aggregates to be mergeable."""
-        return (
-            self.gamma,
-            self.depth,
-            self.grid_size,
-            self.n_max,
-            self.tau,
-            self.replicas,
-            self.seed,
-            self.statistic,
-            self.norm_depths,
-            self.mass_levels,
-        )
 
     def exponents(self) -> estimators.ExponentPlan | None:
         if not self.norm_depths or self.gamma == 0.0:
             return None
         return estimators.find_exponents(self.gamma, self.tau)
 
-    def block_exponents(self) -> list[int]:
-        """Exponents a of the frequency blocks [2^a, 2^(a+1)) meeting 1..n_max."""
-        return list(range(int(math.log2(self.n_max)) + 1))
+    def blocks(self) -> list[tuple[int, int]]:
+        """Inclusive ranges [2^a, min(2^(a+1) - 1, n_max)] of the dyadic
+        frequency blocks meeting 1..n_max, indexed by a."""
+        return [
+            (2**a, min(2 ** (a + 1) - 1, self.n_max)) for a in range(int(math.log2(self.n_max)) + 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -118,88 +99,88 @@ class ReplicaRecord:
     norm_powers: np.ndarray
 
 
-@dataclass(frozen=True)
-class Reservoir:
-    """Lowest-priority samples of one frequency block, merge-invariant."""
+@dataclass(frozen=True, eq=False)
+class LogHistogram:
+    """Sparse counts of log|mu_hat|^2 in bins of width 1/BINS_PER_UNIT.
 
-    priority: np.ndarray
-    value: np.ndarray
-    replica: np.ndarray
-    n: np.ndarray
+    `bins` holds the occupied bin ids floor(BINS_PER_UNIT * value) in
+    increasing order, `counts` their int64 counts.
+    """
+
+    bins: np.ndarray
+    counts: np.ndarray
 
     @staticmethod
-    def empty() -> "Reservoir":
-        return Reservoir(
-            priority=np.empty(0, dtype=np.uint64),
-            value=np.empty(0),
-            replica=np.empty(0, dtype=np.int64),
-            n=np.empty(0, dtype=np.int64),
-        )
+    def of(log_values: np.ndarray) -> "LogHistogram":
+        ids = np.floor(BINS_PER_UNIT * log_values).astype(np.int64)
+        return LogHistogram(*np.unique(ids, return_counts=True))
 
-    def merged(self, other: "Reservoir") -> "Reservoir":
-        priority = np.concatenate([self.priority, other.priority])
-        value = np.concatenate([self.value, other.value])
-        replica = np.concatenate([self.replica, other.replica])
-        n = np.concatenate([self.n, other.n])
-        order = np.lexsort((n, replica, priority))[:RESERVOIR_SIZE]
-        return Reservoir(priority[order], value[order], replica[order], n[order])
+    def __add__(self, other: "LogHistogram") -> "LogHistogram":
+        bins, slot = np.unique(np.concatenate([self.bins, other.bins]), return_inverse=True)
+        counts = np.zeros(bins.size, dtype=np.int64)
+        np.add.at(counts, slot, np.concatenate([self.counts, other.counts]))
+        return LogHistogram(bins, counts)
 
-    def equals(self, other: "Reservoir") -> bool:
-        return (
-            np.array_equal(self.priority, other.priority)
-            and np.array_equal(self.value, other.value)
-            and np.array_equal(self.replica, other.replica)
-            and np.array_equal(self.n, other.n)
-        )
+    def median(self) -> float:
+        """Midpoint of the bin holding the middle order statistic; for an
+        even count, the mean of the two middle ones' midpoints."""
+        ends = np.cumsum(self.counts)
+        middle = np.searchsorted(ends, [(ends[-1] - 1) // 2, ends[-1] // 2], side="right")
+        return (float(self.bins[middle].mean()) + 0.5) / BINS_PER_UNIT
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Mergeable aggregate of replica statistics for one configuration."""
+    """Mergeable aggregate of replica statistics for one configuration.
+
+    Every field after `config` is an accumulator that merges by addition;
+    `_accumulators` gives their empty values and FIELDS their names, which
+    empty_result, merge_results, equals, export_result and load_result walk.
+    """
 
     config: ExperimentConfig
     count: int
     coeff_sum: np.ndarray
     abs2_sum: np.ndarray
-    abs2_sq_sum: np.ndarray
     log_abs2_sum: np.ndarray
     mass_sum: float
     mass_sq_sum: float
     level_sq_sum: np.ndarray
     norm_sum: np.ndarray
-    reservoirs: dict[int, Reservoir] = field(repr=False)
+    histograms: tuple[LogHistogram, ...]  # one per dyadic block, by exponent
 
     def equals(self, other: "EnsembleResult") -> bool:
-        return (
-            self.config == other.config
-            and self.count == other.count
-            and np.array_equal(self.coeff_sum, other.coeff_sum)
-            and np.array_equal(self.abs2_sum, other.abs2_sum)
-            and np.array_equal(self.abs2_sq_sum, other.abs2_sq_sum)
-            and np.array_equal(self.log_abs2_sum, other.log_abs2_sum)
-            and self.mass_sum == other.mass_sum
-            and self.mass_sq_sum == other.mass_sq_sum
-            and np.array_equal(self.level_sq_sum, other.level_sq_sum)
-            and np.array_equal(self.norm_sum, other.norm_sum)
-            and sorted(self.reservoirs) == sorted(other.reservoirs)
-            and all(self.reservoirs[a].equals(other.reservoirs[a]) for a in self.reservoirs)
+        """Same configuration and same archived accumulator values."""
+        return self.config == other.config and all(
+            _encode(getattr(self, name)) == _encode(getattr(other, name)) for name in FIELDS
         )
 
 
+FIELDS = tuple(f.name for f in fields(EnsembleResult) if f.name != "config")
+
+
+def _accumulators(config: ExperimentConfig) -> dict:
+    return {
+        "count": 0,
+        "coeff_sum": np.zeros(config.n_max, dtype=complex),
+        "abs2_sum": np.zeros(config.n_max),
+        "log_abs2_sum": np.zeros(config.n_max),
+        "mass_sum": 0.0,
+        "mass_sq_sum": 0.0,
+        "level_sq_sum": np.zeros(len(config.mass_levels)),
+        "norm_sum": np.zeros(len(config.norm_depths)),
+        "histograms": tuple(LogHistogram.of(np.empty(0)) for _ in config.blocks()),
+    }
+
+
+def _add(a, b):
+    if isinstance(a, tuple):
+        return tuple(x + y for x, y in zip(a, b))
+    return a + b
+
+
 def empty_result(config: ExperimentConfig) -> EnsembleResult:
-    return EnsembleResult(
-        config=config,
-        count=0,
-        coeff_sum=np.zeros(config.n_max, dtype=complex),
-        abs2_sum=np.zeros(config.n_max),
-        abs2_sq_sum=np.zeros(config.n_max),
-        log_abs2_sum=np.zeros(config.n_max),
-        mass_sum=0.0,
-        mass_sq_sum=0.0,
-        level_sq_sum=np.zeros(len(config.mass_levels)),
-        norm_sum=np.zeros(len(config.norm_depths)),
-        reservoirs={a: Reservoir.empty() for a in config.block_exponents()},
-    )
+    return EnsembleResult(config=config, **_accumulators(config))
 
 
 def run_replica(config: ExperimentConfig, replica_id: int) -> ReplicaRecord:
@@ -236,50 +217,28 @@ def run_replica(config: ExperimentConfig, replica_id: int) -> ReplicaRecord:
 
 def _singleton(config: ExperimentConfig, record: ReplicaRecord) -> EnsembleResult:
     abs2 = np.abs(record.coefficients) ** 2
-    reservoirs = {}
-    for a in config.block_exponents():
-        lo = 2**a
-        hi = min(2 ** (a + 1) - 1, config.n_max)
-        n = np.arange(lo, hi + 1)
-        priorities = rng.item_priorities(config.seed, a, record.replica, n)
-        order = np.argsort(priorities, kind="stable")[:RESERVOIR_SIZE]
-        reservoirs[a] = Reservoir(
-            priority=priorities[order],
-            value=abs2[n[order] - 1],
-            replica=np.full(order.size, record.replica, dtype=np.int64),
-            n=n[order].astype(np.int64),
-        )
+    log_abs2 = np.log(np.maximum(abs2, estimators.LOG_FLOOR))
     return EnsembleResult(
         config=config,
         count=1,
         coeff_sum=record.coefficients.copy(),
         abs2_sum=abs2,
-        abs2_sq_sum=abs2**2,
-        log_abs2_sum=np.log(np.maximum(abs2, 1e-300)),
+        log_abs2_sum=log_abs2,
         mass_sum=record.total_mass,
         mass_sq_sum=record.total_mass**2,
         level_sq_sum=record.level_mass_sq.copy(),
         norm_sum=record.norm_powers.copy(),
-        reservoirs=reservoirs,
+        histograms=tuple(LogHistogram.of(log_abs2[lo - 1 : hi]) for lo, hi in config.blocks()),
     )
 
 
 def merge_results(a: EnsembleResult, b: EnsembleResult) -> EnsembleResult:
-    """Accumulator sums added, counts added, reservoirs merged by priority."""
-    if a.config.science_key() != b.config.science_key():
+    """Every accumulator added: counts and histogram counts exactly, sums to
+    rounding."""
+    if a.config != b.config:
         raise ValueError("cannot merge results with different configurations")
     return EnsembleResult(
-        config=a.config,
-        count=a.count + b.count,
-        coeff_sum=a.coeff_sum + b.coeff_sum,
-        abs2_sum=a.abs2_sum + b.abs2_sum,
-        abs2_sq_sum=a.abs2_sq_sum + b.abs2_sq_sum,
-        log_abs2_sum=a.log_abs2_sum + b.log_abs2_sum,
-        mass_sum=a.mass_sum + b.mass_sum,
-        mass_sq_sum=a.mass_sq_sum + b.mass_sq_sum,
-        level_sq_sum=a.level_sq_sum + b.level_sq_sum,
-        norm_sum=a.norm_sum + b.norm_sum,
-        reservoirs={key: a.reservoirs[key].merged(b.reservoirs[key]) for key in a.reservoirs},
+        config=a.config, **{name: _add(getattr(a, name), getattr(b, name)) for name in FIELDS}
     )
 
 
@@ -321,19 +280,16 @@ def run_ensemble(
 
 
 def block_table(result: EnsembleResult) -> list[tuple[int, int, float]]:
-    """Per-block decay statistic (block_lo, block_hi, stat of log |mu_hat|^2)."""
+    """Per-block decay statistic (block_lo, block_hi, stat of log |mu_hat|^2):
+    the mean from the log sums, or the median from the block's histogram."""
     if result.count == 0:
         raise ValueError("empty ensemble has no statistics")
-    config = result.config
     rows = []
-    for a in config.block_exponents():
-        lo = 2**a
-        hi = min(2 ** (a + 1) - 1, config.n_max)
-        if config.statistic == "mean":
+    for (lo, hi), histogram in zip(result.config.blocks(), result.histograms):
+        if result.config.statistic == "mean":
             stat = float(np.mean(result.log_abs2_sum[lo - 1 : hi] / result.count))
         else:
-            values = result.reservoirs[a].value
-            stat = float(np.log(max(np.median(values), 1e-300)))
+            stat = histogram.median()
         rows.append((lo, hi, stat))
     return rows
 
@@ -343,29 +299,13 @@ def decay_fit_from_result(
 ) -> estimators.SlopeFit:
     """Decay-slope fit re-derived from the aggregate accumulators."""
     config = result.config
-    n_lo = 8 if n_lo is None else n_lo
-    n_hi = config.n_max if n_hi is None else n_hi
-    exponents = estimators._block_exponents(n_lo, n_hi)
-    if len(exponents) < 4:
-        raise ValueError(f"need at least 4 complete dyadic blocks in [{n_lo}, {n_hi}]")
-    table = {lo: stat for lo, hi, stat in block_table(result)}
-    xs, ys, blocks = [], [], []
-    for a in exponents:
-        lo, hi = 2**a, 2 ** (a + 1)
-        x = float(np.mean(np.log(np.arange(lo, hi))))
-        y = table[lo]
-        xs.append(x)
-        ys.append(y)
-        blocks.append((float(lo), float(hi), x, y))
-    slope, intercept, stderr = estimators.line_fit(np.array(xs), np.array(ys))
-    return estimators.SlopeFit(
-        slope=slope,
-        intercept=intercept,
-        stderr=stderr,
-        lo=float(2 ** exponents[0]),
-        hi=float(2 ** (exponents[-1] + 1)),
-        statistic=config.statistic,
-        blocks=tuple(blocks),
+    stats = [stat for _, _, stat in block_table(result)]
+    return estimators.dyadic_block_fit(
+        lambda a: stats[a],
+        8 if n_lo is None else n_lo,
+        config.n_max if n_hi is None else n_hi,
+        config.n_max,
+        config.statistic,
     )
 
 
@@ -376,26 +316,26 @@ def l2_fit_from_result(result: EnsembleResult) -> estimators.SlopeFit:
     return estimators.l2_spectrum_slope(sums[None, :], result.config.mass_levels)
 
 
+def unit_mass_z(result: EnsembleResult) -> float | None:
+    """Deviation of the mean total mass from one in standard errors, from
+    mass_sum and mass_sq_sum; None below two replicas or at zero spread."""
+    n = result.count
+    if n < 2:
+        return None
+    mean = result.mass_sum / n
+    var = (result.mass_sq_sum / n - mean**2) * n / (n - 1)
+    return (mean - 1.0) / math.sqrt(var / n) if var > 0.0 else None
+
+
 def clt_profile_from_result(
     result: EnsembleResult, block_lo_exp: int, block_hi_exp: int
 ) -> list[tuple[int, int, float]]:
-    """Rescaled-coefficient variance profile from the aggregates.
-
-    Uses the population variance E|z|^2 - |E z|^2 per frequency.
-    """
-    exponent = estimators.clt_exponent(result.config.gamma)
-    if result.count < 100:
-        raise ValueError(f"rescaling profile needs at least 100 replicas, got {result.count}")
-    mean = result.coeff_sum / result.count
-    var = result.abs2_sum / result.count - np.abs(mean) ** 2
-    out = []
-    for a in range(block_lo_exp, block_hi_exp):
-        lo, hi = 2**a, 2 ** (a + 1)
-        if hi - 1 > result.config.n_max:
-            raise ValueError(f"block [{lo}, {hi}) beyond n_max = {result.config.n_max}")
-        n = np.arange(lo, hi)
-        out.append((lo, hi, float(np.mean(n ** (2.0 * exponent) * var[lo - 1 : hi - 1]))))
-    return out
+    """Rescaled-coefficient variance profile from the aggregates, with the
+    population variance E|z|^2 - |E z|^2 per frequency."""
+    var = result.abs2_sum / result.count - np.abs(result.coeff_sum / result.count) ** 2
+    return estimators.rescaled_variance_profile(
+        var, result.count, result.config.gamma, block_lo_exp, block_hi_exp
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,55 +343,49 @@ def clt_profile_from_result(
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "gamma": config.gamma,
-        "depth": config.depth,
-        "grid_size": config.grid_size,
-        "n_max": config.n_max,
-        "tau": config.tau,
-        "replicas": config.replicas,
-        "seed": config.seed,
-        "statistic": config.statistic,
-        "norm_depths": list(config.norm_depths),
-        "mass_levels": list(config.mass_levels),
-        "out": config.out,
-        "fmt": config.fmt,
-    }
+    return asdict(config)
+
+
+def _check_keys(data: dict, expected, what: str) -> None:
+    missing = sorted(set(expected) - set(data))
+    unknown = sorted(set(data) - set(expected))
+    if missing or unknown:
+        raise ValueError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    data["norm_depths"] = tuple(data.get("norm_depths", ()))
-    data["mass_levels"] = tuple(data.get("mass_levels", ()))
+    _check_keys(data, [f.name for f in fields(ExperimentConfig)], "config")
     return ExperimentConfig(**data)
+
+
+def _encode(value):
+    # Arrays as float lists, complex ones as interleaved (re, im) pairs.
+    if isinstance(value, tuple):
+        return [{"bins": h.bins.tolist(), "counts": h.counts.tolist()} for h in value]
+    return value.view(float).tolist() if isinstance(value, np.ndarray) else value
+
+
+def _decode(data, empty):
+    """An accumulator from its JSON value, shaped like its empty value."""
+    if isinstance(empty, tuple):
+        value = tuple(
+            LogHistogram(np.array(h["bins"], dtype=np.int64), np.array(h["counts"], dtype=np.int64))
+            for h in data
+        )
+    elif isinstance(empty, np.ndarray):
+        value = np.array(data, dtype=float).view(empty.dtype)
+    else:
+        return type(empty)(data)
+    if len(value) != len(empty):
+        raise ValueError(f"{len(value)} entries where the config needs {len(empty)}")
+    return value
 
 
 def export_result(result: EnsembleResult, fmt: str, path) -> None:
     """JSON is the archival format (loadable); CSV is the block-stat table."""
     if fmt == "json":
-        payload = {
-            "version": VERSION,
-            "config": config_to_dict(result.config),
-            "count": result.count,
-            "coeff_sum_re": result.coeff_sum.real.tolist(),
-            "coeff_sum_im": result.coeff_sum.imag.tolist(),
-            "abs2_sum": result.abs2_sum.tolist(),
-            "abs2_sq_sum": result.abs2_sq_sum.tolist(),
-            "log_abs2_sum": result.log_abs2_sum.tolist(),
-            "mass_sum": result.mass_sum,
-            "mass_sq_sum": result.mass_sq_sum,
-            "level_sq_sum": result.level_sq_sum.tolist(),
-            "norm_sum": result.norm_sum.tolist(),
-            "reservoirs": {
-                str(a): {
-                    "priority": [int(v) for v in res.priority],
-                    "value": res.value.tolist(),
-                    "replica": res.replica.tolist(),
-                    "n": res.n.tolist(),
-                }
-                for a, res in sorted(result.reservoirs.items())
-            },
-        }
+        payload = {"version": VERSION, "config": config_to_dict(result.config)}
+        payload.update((name, _encode(getattr(result, name))) for name in FIELDS)
         with open(path, "w") as fh:
             json.dump(payload, fh)
             fh.write("\n")
@@ -465,28 +399,19 @@ def export_result(result: EnsembleResult, fmt: str, path) -> None:
 
 
 def load_result(path) -> EnsembleResult:
+    """Read an archive written by export_result.  Another version, a missing
+    or unknown key or a malformed field is a ValueError that names it."""
     with open(path) as fh:
         payload = json.load(fh)
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != VERSION:
+        raise ValueError(f"archive version {version!r} is not this library's {VERSION!r}")
+    _check_keys(payload, ("version", "config", *FIELDS), "archive")
     config = config_from_dict(payload["config"])
-    reservoirs = {
-        int(a): Reservoir(
-            priority=np.array(res["priority"], dtype=np.uint64),
-            value=np.array(res["value"], dtype=float),
-            replica=np.array(res["replica"], dtype=np.int64),
-            n=np.array(res["n"], dtype=np.int64),
-        )
-        for a, res in payload["reservoirs"].items()
-    }
-    return EnsembleResult(
-        config=config,
-        count=payload["count"],
-        coeff_sum=np.array(payload["coeff_sum_re"]) + 1j * np.array(payload["coeff_sum_im"]),
-        abs2_sum=np.array(payload["abs2_sum"]),
-        abs2_sq_sum=np.array(payload["abs2_sq_sum"]),
-        log_abs2_sum=np.array(payload["log_abs2_sum"]),
-        mass_sum=payload["mass_sum"],
-        mass_sq_sum=payload["mass_sq_sum"],
-        level_sq_sum=np.array(payload["level_sq_sum"]),
-        norm_sum=np.array(payload["norm_sum"]),
-        reservoirs=reservoirs,
-    )
+    values = {}
+    for name, empty in _accumulators(config).items():
+        try:
+            values[name] = _decode(payload[name], empty)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"archive field {name!r} is malformed: {exc!r}") from exc
+    return EnsembleResult(config=config, **values)

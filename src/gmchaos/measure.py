@@ -31,11 +31,16 @@ _MOMENT_PROBE = 101
 _HOLDER_PROBE = 102
 
 
-def validate_gamma(gamma: float) -> float:
-    """Intermittency parameter check: the sub-critical range is [0, sqrt 2)."""
+SUBCRITICAL = (False, SQRT2, "gamma must lie in [0, sqrt(2))")
+
+
+def validate_gamma(gamma: float, bound: tuple[bool, float, str] = SUBCRITICAL) -> float:
+    """Intermittency parameter check against `bound` = (zero excluded, upper
+    limit, message naming the range), by default the sub-critical [0, sqrt 2)."""
     g = float(gamma)
-    if not 0.0 <= g < SQRT2:
-        raise ValueError(f"gamma must lie in [0, sqrt(2)), got {gamma!r}")
+    zero_excluded, upper, message = bound
+    if not (0.0 < g if zero_excluded else 0.0 <= g) or not g < upper:
+        raise ValueError(f"{message}, got {gamma!r}")
     return g
 
 

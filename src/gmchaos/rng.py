@@ -1,10 +1,12 @@
 """Splittable, counter-based random streams.
 
 Every stochastic object in the library draws from a Philox generator whose
-key is derived from (experiment seed, replica id, purpose tags) through a
-SeedSequence spawn key.  Streams for distinct tuples are independent, there
-is no global generator state, and replicas can run in any order or in
-parallel without coordination.
+key is derived from (experiment seed, purpose tag, replica id, level or
+probe keys) through a SeedSequence spawn key.  Streams for distinct tuples
+are independent, there is no global generator state, and replicas can run
+in any order or in parallel without coordination.  Two purposes draw
+randomness: the level fields of a replica and the grid-free Monte Carlo
+probes.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import numpy as np
 # remaining key components collide.
 TAG_FIELD = 0
 TAG_PROBE = 1
-TAG_RESERVOIR = 2
-
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -34,26 +33,3 @@ def field_stream(seed: int, replica: int, level: int) -> np.random.Generator:
 def probe_stream(seed: int, *key: int) -> np.random.Generator:
     """Stream for Monte Carlo probes detached from any grid."""
     return stream(seed, TAG_PROBE, *key)
-
-
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer on uint64 input."""
-    x = (x + _GOLDEN).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def item_priorities(seed: int, block: int, replica: int, n: np.ndarray) -> np.ndarray:
-    """Deterministic per-item priorities for mergeable reservoir sampling.
-
-    The priority of item (seed, block, replica, n) depends on nothing else,
-    so keeping the k smallest priorities commutes with any merge order.
-    """
-    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        state = splitmix64(np.uint64([base ^ np.uint64(TAG_RESERVOIR)]))[0]
-        state = splitmix64(np.uint64([state + np.uint64(block & 0xFFFFFFFFFFFFFFFF)]))[0]
-        state = splitmix64(np.uint64([state + np.uint64(replica & 0xFFFFFFFFFFFFFFFF)]))[0]
-        return splitmix64(state + np.asarray(n, dtype=np.uint64) * _GOLDEN)

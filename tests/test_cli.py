@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gmchaos import cli
+from gmchaos import cli, harness
 
 
 def test_verify_passes(capsys):
@@ -127,11 +127,30 @@ def test_report_from_archive(tmp_path):
     assert summary["count"] == 32
     assert "decay" in summary
     assert summary["config"]["n_max"] == 128
+    assert abs(summary["unit_mass_z"]) < 5.0
+    assert "uniform_bound" not in summary
 
 
-def test_clt_rejects_large_gamma(tmp_path):
+def test_report_reads_uniform_bound_depths(tmp_path):
+    config = harness.ExperimentConfig(
+        gamma=0.5, depth=7, grid_size=256, n_max=32, tau=0.5, replicas=4, seed=41,
+        norm_depths=(5, 7),
+    )
+    result = harness.run_ensemble(config)
+    archive = tmp_path / "ens.json"
+    harness.export_result(result, "json", archive)
+    assert cli.main(["report", "--in", str(archive), "--out", str(tmp_path / "r"),
+                     "--fit-lo", "1"]) == 0
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert summary["uniform_bound"] == dict(zip(["5", "7"], (result.norm_sum / 4).tolist()))
+
+
+def test_clt_rejects_large_gamma(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))
     with pytest.raises(ValueError):
         cli.main(
             ["clt", "--gamma", "0.9", "--m", "8", "--grid", "1024", "--nmax", "64",
              "--reps", "120", "--seed", "5", "--out", str(tmp_path / "x.csv")]
         )
+    assert ran == []

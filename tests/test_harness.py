@@ -1,8 +1,11 @@
 import json
-import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmchaos import harness
 
@@ -24,6 +27,13 @@ def small_config(**overrides):
     return harness.ExperimentConfig(**base)
 
 
+def same_histograms(a, b):
+    return len(a.histograms) == len(b.histograms) and all(
+        np.array_equal(x.bins, y.bins) and np.array_equal(x.counts, y.counts)
+        for x, y in zip(a.histograms, b.histograms)
+    )
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(grid_size=200)  # not a power of two
@@ -41,8 +51,6 @@ def test_config_validation():
         small_config(mass_levels=(12,))
     with pytest.raises(ValueError):
         small_config(tau=1.0)
-    with pytest.raises(ValueError):
-        small_config(fmt="xml")
 
 
 def test_replica_determinism_and_separation():
@@ -85,9 +93,7 @@ def test_merge_identity_and_counts():
     assert combined.count == 4
     assert np.allclose(combined.abs2_sum, result.abs2_sum, rtol=1e-12)
     assert np.allclose(combined.norm_sum, result.norm_sum, rtol=1e-12)
-    assert all(
-        combined.reservoirs[k].equals(result.reservoirs[k]) for k in result.reservoirs
-    )
+    assert same_histograms(combined, result)
 
 
 def test_merge_associativity():
@@ -98,17 +104,61 @@ def test_merge_associativity():
     assert left.count == right.count
     assert np.allclose(left.abs2_sum, right.abs2_sum, rtol=1e-12)
     assert np.allclose(left.coeff_sum, right.coeff_sum, rtol=1e-12)
-    assert all(left.reservoirs[k].equals(right.reservoirs[k]) for k in left.reservoirs)
+    assert same_histograms(left, right)
 
 
-def test_merge_commutative_reservoirs():
+def test_merge_commutative_histograms():
     config = small_config(replicas=4)
     a = harness.run_ensemble(config, replica_range=(0, 2))
     b = harness.run_ensemble(config, replica_range=(2, 4))
     ab = harness.merge_results(a, b)
     ba = harness.merge_results(b, a)
     assert ab.count == ba.count
-    assert all(ab.reservoirs[k].equals(ba.reservoirs[k]) for k in ab.reservoirs)
+    assert same_histograms(ab, ba)
+
+
+TINY = dict(gamma=0.6, depth=5, grid_size=64, n_max=8, tau=0.3, seed=5,
+            norm_depths=(3, 5), mass_levels=(1, 2))
+
+
+@given(cuts=st.lists(st.integers(1, 11), max_size=5, unique=True), data=st.data())
+def test_merge_is_exact_for_any_split_order_and_grouping(cuts, data):
+    config = harness.ExperimentConfig(replicas=12, **TINY)
+    whole = harness.run_ensemble(config)
+    bounds = [0, *sorted(cuts), config.replicas]
+    parts = [harness.run_ensemble(config, replica_range=r) for r in zip(bounds, bounds[1:])]
+    parts = data.draw(st.permutations(parts))
+    while len(parts) > 1:
+        i = data.draw(st.integers(0, len(parts) - 2))
+        parts[i : i + 2] = [harness.merge_results(parts[i], parts[i + 1])]
+    merged = parts[0]
+    assert merged.count == whole.count
+    assert same_histograms(merged, whole)
+    for name in ("coeff_sum", "abs2_sum", "log_abs2_sum", "mass_sum", "mass_sq_sum",
+                 "level_sq_sum", "norm_sum"):
+        np.testing.assert_allclose(getattr(merged, name), getattr(whole, name),
+                                   rtol=1e-12, atol=1e-12)
+
+
+@given(
+    gamma=st.floats(0.0, 1.2),
+    seed=st.integers(0, 2**32),
+    replicas=st.integers(1, 4),
+    statistic=st.sampled_from(["mean", "median"]),
+)
+def test_archive_export_load_export_is_byte_identical(gamma, seed, replicas, statistic):
+    config = harness.ExperimentConfig(
+        **{**TINY, "gamma": gamma, "tau": 0.0, "seed": seed, "replicas": replicas,
+           "statistic": statistic}
+    )
+    result = harness.run_ensemble(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+        harness.export_result(result, "json", first)
+        loaded = harness.load_result(first)
+        harness.export_result(loaded, "json", second)
+        assert loaded.equals(result)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_merge_rejects_config_mismatch():
@@ -157,22 +207,48 @@ def test_export_csv_schema(tmp_path):
     harness.export_result(result, "csv", path)
     lines = path.read_text().splitlines()
     assert lines[0] == "block_lo,block_hi,stat"
-    assert len(lines) == 1 + len(config.block_exponents())
+    assert len(lines) == 1 + len(config.blocks())
     lo, hi, stat = lines[1].split(",")
     assert (int(lo), int(hi)) == (1, 1)
     float(stat)
 
 
-def test_reservoirs_bounded_and_deterministic():
+def test_histograms_count_every_value_and_are_deterministic():
     config = small_config(grid_size=2048, n_max=256, depth=10, replicas=3,
                           norm_depths=(), mass_levels=())
     result = harness.run_ensemble(config)
-    for a, reservoir in result.reservoirs.items():
-        block = min(2 ** (a + 1) - 1, 256) - 2**a + 1
-        assert reservoir.value.size == min(harness.RESERVOIR_SIZE, block * 3)
-        assert np.all(np.diff(reservoir.priority.astype(float)) >= 0)
+    assert len(result.histograms) == len(config.blocks())
+    for (lo, hi), histogram in zip(config.blocks(), result.histograms):
+        assert histogram.counts.sum() == (hi - lo + 1) * 3
+        assert np.all(histogram.counts > 0)
+        assert np.all(np.diff(histogram.bins) > 0)
     again = harness.run_ensemble(config)
     assert result.equals(again)
+
+
+def test_histogram_median_within_half_a_bin():
+    gen = np.random.default_rng(0)
+    for size in (1, 2, 7, 40, 1001):
+        values = gen.normal(-5.0, 3.0, size)
+        histogram = harness.LogHistogram.of(values[: size // 2]) + harness.LogHistogram.of(
+            values[size // 2 :]
+        )
+        assert abs(histogram.median() - np.median(values)) <= 0.5 / harness.BINS_PER_UNIT
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_median_fit_from_result_matches_estimator(seed):
+    from gmchaos import estimators
+
+    config = harness.ExperimentConfig(
+        gamma=0.5, depth=10, grid_size=2048, n_max=256, replicas=40, seed=seed,
+    )
+    fit = harness.decay_fit_from_result(harness.run_ensemble(config), 8, 256)
+    abs2 = np.array([np.abs(harness.run_replica(config, r).coefficients) ** 2 for r in range(40)])
+    direct = estimators.decay_slope(abs2, 8, 256, statistic="median")
+    assert [b[:3] for b in fit.blocks] == [b[:3] for b in direct.blocks]
+    for ours, exact in zip(fit.blocks, direct.blocks):
+        assert abs(ours[3] - exact[3]) <= 0.5 / harness.BINS_PER_UNIT
 
 
 def test_decay_fit_from_result_matches_estimator():
@@ -206,3 +282,47 @@ def test_l2_and_clt_from_result():
     assert all(v > 0 for _, _, v in profile)
     with pytest.raises(ValueError):
         harness.clt_profile_from_result(result, 4, 12)
+
+
+def _archive(tmp_path, **changes):
+    """A valid archive's payload with `changes` applied; None deletes a key."""
+    path = tmp_path / "ensemble.json"
+    harness.export_result(harness.run_ensemble(small_config(replicas=2)), "json", path)
+    payload = json.loads(path.read_text())
+    for key, value in changes.items():
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_load_rejects_old_format_archive(tmp_path):
+    reservoir = {"priority": [1], "value": [0.5], "replica": [0], "n": [1]}
+    path = _archive(
+        tmp_path, version="gmchaos 0.1.0", histograms=None, abs2_sq_sum=[0.0] * 32,
+        reservoirs={str(a): reservoir for a in range(6)},
+    )
+    with pytest.raises(ValueError, match="'gmchaos 0.1.0'.*'gmchaos 0.2.0'"):
+        harness.load_result(path)
+
+
+def test_load_rejects_wrong_version(tmp_path):
+    with pytest.raises(ValueError, match="'gmchaos 9.9.9'"):
+        harness.load_result(_archive(tmp_path, version="gmchaos 9.9.9"))
+
+
+def test_load_names_unknown_and_missing_keys(tmp_path):
+    with pytest.raises(ValueError, match="unknown keys \\['extra'\\]"):
+        harness.load_result(_archive(tmp_path, extra=1))
+    with pytest.raises(ValueError, match="missing keys \\['norm_sum'\\]"):
+        harness.load_result(_archive(tmp_path, norm_sum=None))
+    config = harness.config_to_dict(small_config(replicas=2))
+    with pytest.raises(ValueError, match="config: missing keys \\[\\], unknown keys \\['fmt'\\]"):
+        harness.load_result(_archive(tmp_path, config={**config, "fmt": "json"}))
+
+
+def test_load_names_malformed_field(tmp_path):
+    with pytest.raises(ValueError, match="archive field 'abs2_sum' is malformed"):
+        harness.load_result(_archive(tmp_path, abs2_sum=[0.0]))
