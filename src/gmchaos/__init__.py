@@ -67,7 +67,6 @@ from .sampler import (
     read_hierarchy,
     sample_hierarchy,
     sample_level,
-    sample_level_dense,
     write_hierarchy,
 )
 from .spectral import (

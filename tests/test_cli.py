@@ -154,3 +154,18 @@ def test_clt_rejects_large_gamma(tmp_path, monkeypatch):
              "--reps", "120", "--seed", "5", "--out", str(tmp_path / "x.csv")]
         )
     assert ran == []
+
+
+@pytest.mark.parametrize(
+    "reps,block_hi,message",
+    [("60", "6", "at least 100 replicas, got 60"), ("120", "8", "blocks end at 255, beyond the 64")],
+)
+def test_clt_validates_before_sampling(tmp_path, monkeypatch, reps, block_hi, message):
+    ran = []
+    monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))
+    with pytest.raises(ValueError, match=message):
+        cli.main(
+            ["clt", "--gamma", "0.4", "--m", "8", "--grid", "1024", "--nmax", "64",
+             "--reps", reps, "--block-hi", block_hi, "--seed", "5", "--out", str(tmp_path / "x.csv")]
+        )
+    assert ran == []

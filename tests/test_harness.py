@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmchaos import harness
+from gmchaos import harness, rng
 
 
 def small_config(**overrides):
@@ -226,6 +226,33 @@ def test_histograms_count_every_value_and_are_deterministic():
     assert result.equals(again)
 
 
+def test_histograms_are_int32_and_refuse_overflow(tmp_path):
+    result = harness.run_ensemble(small_config(replicas=3))
+    path = tmp_path / "ensemble.json"
+    harness.export_result(result, "json", path)
+    merged = harness.merge_results(result, harness.load_result(path))
+    for histogram in merged.histograms:
+        assert histogram.bins.dtype == histogram.counts.dtype == np.int32
+    top = np.iinfo(np.int32).max
+    full = harness.LogHistogram(np.array([0], dtype=np.int32), np.array([top], dtype=np.int32))
+    one = harness.LogHistogram(np.array([0, 5], dtype=np.int32), np.array([1, 1], dtype=np.int32))
+    assert (full + harness.LogHistogram(one.bins[1:], one.counts[1:])).counts.tolist() == [top, 1]
+    with pytest.raises(OverflowError):
+        full + one
+
+
+def test_run_replica_draws_one_field_per_read_depth(monkeypatch):
+    opened = []
+    field_stream = rng.field_stream
+    monkeypatch.setattr(rng, "field_stream", lambda *key: opened.append(key) or field_stream(*key))
+    config = harness.ExperimentConfig(
+        gamma=0.5, depth=16, grid_size=2**16, n_max=4096, tau=0.3,
+        norm_depths=(6, 8, 10, 12), mass_levels=tuple(range(4, 11)),
+    )
+    harness.run_replica(config, 0)
+    assert [key[2:] for key in opened] == [(0, 6), (7, 8), (9, 10), (11, 12), (13, 16)]
+
+
 def test_histogram_median_within_half_a_bin():
     gen = np.random.default_rng(0)
     for size in (1, 2, 7, 40, 1001):
@@ -262,7 +289,8 @@ def test_decay_fit_from_result_matches_estimator():
     fit = harness.decay_fit_from_result(result, 8, 256)
     abs2 = np.empty((40, 256))
     for r in range(40):
-        h = sampler.sample_hierarchy(10, sampler.GridSpec(2048), 3, r)
+        # run_replica draws the depth-10 field as the one block 0..10
+        h = sampler.sample_blocks((10,), sampler.GridSpec(2048), 3, r)
         spec = spectral.fourier_coefficients(measure.chaos_density(h, 0.5), 256)
         abs2[r] = np.abs(spec.coefficients) ** 2
     direct = estimators.decay_slope(abs2, 8, 256, statistic="mean")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gmchaos import geometry, sampler
+from gmchaos import geometry, measure, rng, sampler
 
 LN2 = math.log(2.0)
 
@@ -109,6 +109,17 @@ def test_empirical_covariance_level2():
     assert abs(acc / n - theo) < 0.015
 
 
+def _dense_level_draw(j, grid, seed, replica):
+    """Dense-factorization draw of the level-j field: the closed-form grid
+    covariance matrix factored by symmetric eigendecomposition.  Same law as
+    sample_level, different path and stream usage; for small grids only."""
+    t = grid.times()
+    cov = geometry.level_covariance(j, np.abs(t[:, None] - t[None, :]))
+    vals, vecs = np.linalg.eigh(cov)
+    factor = vecs * np.sqrt(np.maximum(vals, 0.0))
+    return factor @ rng.field_stream(seed, replica, j).standard_normal(grid.size)
+
+
 def test_dense_sampler_matches_law():
     # same closed-form covariance through the dense factorization path
     grid = sampler.GridSpec(64)
@@ -117,11 +128,9 @@ def test_dense_sampler_matches_law():
     acc = 0.0
     n = 4000
     for r in range(n):
-        row = sampler.sample_level_dense(2, grid, seed=6, replica=r)
+        row = _dense_level_draw(2, grid, seed=6, replica=r)
         acc += row[:-lag_pts] @ row[lag_pts:] / (64 - lag_pts)
     assert abs(acc / n - theo) < 0.015
-    with pytest.raises(ValueError):
-        sampler.sample_level_dense(1, sampler.GridSpec(1024), seed=0)
 
 
 def test_long_range_decoupling_on_grid():
@@ -148,3 +157,94 @@ def test_binary_dump_round_trip(tmp_path):
     # header is 4 little-endian int64 + row-major float64 payload
     raw = path.read_bytes()
     assert len(raw) == 32 + 4 * 32 * 8
+
+
+def test_binary_dump_refuses_block_hierarchy(tmp_path):
+    h = sampler.sample_blocks((1, 3), sampler.GridSpec(32), seed=123)
+    with pytest.raises(ValueError, match=r"blocks ending at \(1, 3\)"):
+        sampler.write_hierarchy(h, tmp_path / "blocks.bin")
+    assert not (tmp_path / "blocks.bin").exists()
+
+
+def test_binary_dump_rejects_truncated_payload(tmp_path):
+    path = tmp_path / "hierarchy.bin"
+    sampler.write_hierarchy(sampler.sample_hierarchy(3, sampler.GridSpec(32), seed=1), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="payload of 127 values; header needs 4 x 32 = 128"):
+        sampler.read_hierarchy(path)
+
+
+def _inline_block_draw(lo, hi, grid, seed, replica):
+    """The colouring written out: complex noise from the block's stream times
+    sqrt(summed eigenvalues / period points), one FFT, real first half."""
+    eig = sum(
+        sampler.embedding_spectrum(sampler.covariance_sequence(j, grid)).eigenvalues
+        for j in range(lo, hi + 1)
+    )
+    m = 2 * grid.size
+    key = (lo,) if lo == hi else (lo, hi)
+    noise = rng.stream(seed, rng.TAG_FIELD, replica, *key).standard_normal((2, m))
+    coloured = np.fft.fft((noise[0] + 1j * noise[1]) * np.sqrt(eig / m))
+    return coloured.real[: grid.size]
+
+
+def test_level_streams_are_bit_identical_to_the_level_formula():
+    grid = sampler.GridSpec(128)
+    for j in (0, 3, 6):
+        row = sampler.sample_level(j, grid, seed=8, replica=5)
+        assert row.tobytes() == _inline_block_draw(j, j, grid, 8, 5).tobytes()
+    h = sampler.sample_hierarchy(6, grid, seed=8, replica=5)
+    rows = np.stack([sampler.sample_level(j, grid, 8, 5) for j in range(7)])
+    assert h.samples.tobytes() == rows.tobytes()
+    assert h.breaks == tuple(range(7)) and h.per_level
+    blocks = sampler.sample_blocks((1, 2, 6), grid, seed=8, replica=5)
+    assert blocks.samples[1].tobytes() == rows[2].tobytes()
+    assert blocks.samples[2].tobytes() == _inline_block_draw(3, 6, grid, 8, 5).tobytes()
+
+
+def test_block_eigenvalues_match_cumulative_covariance():
+    for size, m in ((64, 6), (1024, 10)):
+        grid = sampler.GridSpec(size)
+        r = np.arange(2 * size)
+        lags = np.minimum(r, 2 * size - r) / size
+        exact = np.fft.fft(geometry.cumulative_covariance(m, lags)).real
+        summed = sampler._block_root(0, m, grid) ** 2 * (2 * size)
+        assert np.max(np.abs(summed - exact)) <= 1e-12 * exact.max()
+
+
+def test_block_field_law():
+    # two blocks, 0..1 and 2..5, at grid 256: lag covariances against the
+    # summed closed forms and the cross moment against zero, each within 4
+    # standard errors estimated from the same draws
+    grid = sampler.GridSpec(256)
+    n = 4000
+    lags = np.array([1, 8, 20, 40])
+    stats = np.empty((n, 2, lags.size))
+    cross = np.empty(n)
+    for r in range(n):
+        rows = sampler.sample_blocks((1, 5), grid, seed=12, replica=r).samples
+        for b, row in enumerate(rows):
+            stats[r, b] = [row[:-lag] @ row[lag:] / (256 - lag) for lag in lags]
+        cross[r] = rows[0] @ rows[1] / 256
+    for b, (lo, hi) in enumerate(((0, 1), (2, 5))):
+        theo = sum(geometry.level_covariance(j, lags / 256) for j in range(lo, hi + 1))
+        se = stats[:, b].std(axis=0, ddof=1) / math.sqrt(n)
+        assert np.all(np.abs(stats[:, b].mean(axis=0) - theo) <= 4 * se)
+    assert abs(cross.mean()) <= 4 * cross.std(ddof=1) / math.sqrt(n)
+    h = sampler.sample_blocks((1, 5), grid, seed=12)
+    assert h.variances[0] == 1.0 + LN2
+    assert h.variances[1] == pytest.approx(4 * LN2, rel=1e-15)
+
+
+def test_block_hierarchy_refusals():
+    grid = sampler.GridSpec(64)
+    h = sampler.sample_blocks((2, 5), grid, seed=3)
+    assert not h.per_level
+    with pytest.raises(ValueError, match="blocks ending at"):
+        h.level(2)
+    with pytest.raises(ValueError, match=r"not one of the sampled depths \(2, 5\)"):
+        measure.chaos_density(h, 0.5, depth=4)
+    assert measure.chaos_density(h, 0.5, depth=2).depth == 2
+    for bad in ((), (-1, 3), (3, 3), (4, 2)):
+        with pytest.raises(ValueError):
+            sampler.sample_blocks(bad, grid, seed=3)
