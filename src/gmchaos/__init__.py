@@ -67,6 +67,7 @@ from .sampler import (
     read_hierarchy,
     sample_hierarchy,
     sample_level,
+    sample_level_dense,
     write_hierarchy,
 )
 from .spectral import (
@@ -87,4 +88,4 @@ from .spectral import (
     write_spectrum_csv,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import estimators, measure, spectral
 from .sampler import GridSpec, sample_blocks
-from .sampler import sample_hierarchy  # noqa: F401  kept as a name the benchmark tracer wraps
 
-VERSION = "gmchaos 0.2.0"
+VERSION = "gmchaos 0.3.0"
 
 # Bins per unit of log|mu_hat|^2: medians land within 1/512, far inside slope errors (~0.03).
 BINS_PER_UNIT = 256
@@ -374,13 +373,20 @@ def _encode(value):
     return value.view(float).tolist() if isinstance(value, np.ndarray) else value
 
 
+def _int32(values, low: int) -> np.ndarray:
+    """JSON integers as int32, read through int64 and refused outside
+    low..int32 max, so a count never wraps whatever the numpy version."""
+    wide = np.array(values, dtype=np.int64)
+    if wide.size and (wide.min() < low or wide.max() > np.iinfo(np.int32).max):
+        raise ValueError(f"integer outside {low}..{np.iinfo(np.int32).max}")
+    return wide.astype(np.int32)
+
+
 def _decode(data, empty):
     """An accumulator from its JSON value, shaped like its empty value."""
     if isinstance(empty, tuple):
-        value = tuple(
-            LogHistogram(np.array(h["bins"], dtype=np.int32), np.array(h["counts"], dtype=np.int32))
-            for h in data
-        )
+        low = np.iinfo(np.int32).min
+        value = tuple(LogHistogram(_int32(h["bins"], low), _int32(h["counts"], 0)) for h in data)
     elif isinstance(empty, np.ndarray):
         value = np.array(data, dtype=float).view(empty.dtype)
     else:

@@ -13,6 +13,9 @@ The levels are independent, so a block of levels lo..hi is one stationary
 field with the summed eigenvalues.  :func:`sample_blocks` draws blocks; a
 one-level block is :func:`sample_level`, and :func:`sample_hierarchy` is
 all levels one by one.
+
+A dense eigenfactorization sampler over small grids is included as a
+cross-validation utility; it is not the production path.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from . import geometry, rng
 # exactly-PSD sequence, small enough to flag real negativity.
 EPS_CLAMP = 1e-8
 
+_DENSE_LIMIT = 512
 _BINARY_HEADER = struct.Struct("<qqqq")  # grid size, depth, seed, replica
 
 
@@ -183,6 +187,25 @@ def sample_hierarchy(m: int, grid: GridSpec, seed: int, replica: int = 0) -> Fie
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"depth must be a non-negative integer, got {m!r}")
     return sample_blocks(range(m + 1), grid, seed, replica)
+
+
+def sample_level_dense(j: int, grid: GridSpec, seed: int, replica: int = 0) -> np.ndarray:
+    """Dense-factorization draw of the level-j field (test utility).
+
+    Builds the full grid covariance matrix from the closed form and
+    factors it by symmetric eigendecomposition.  Same law as
+    :func:`sample_level`, different path and different stream usage;
+    limited to small grids.
+    """
+    if grid.size > _DENSE_LIMIT:
+        raise ValueError(f"dense sampler limited to grids of size <= {_DENSE_LIMIT}")
+    t = grid.times()
+    cov = geometry.level_covariance(j, np.abs(t[:, None] - t[None, :]))
+    vals, vecs = np.linalg.eigh(cov)
+    vals = np.maximum(vals, 0.0)
+    factor = vecs * np.sqrt(vals)
+    gen = rng.field_stream(seed, replica, j)
+    return factor @ gen.standard_normal(grid.size)
 
 
 def write_hierarchy(hierarchy: FieldHierarchy, path) -> None:

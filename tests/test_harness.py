@@ -332,7 +332,7 @@ def test_load_rejects_old_format_archive(tmp_path):
         tmp_path, version="gmchaos 0.1.0", histograms=None, abs2_sq_sum=[0.0] * 32,
         reservoirs={str(a): reservoir for a in range(6)},
     )
-    with pytest.raises(ValueError, match="'gmchaos 0.1.0'.*'gmchaos 0.2.0'"):
+    with pytest.raises(ValueError, match="'gmchaos 0.1.0'.*'gmchaos 0.3.0'"):
         harness.load_result(path)
 
 
@@ -354,3 +354,13 @@ def test_load_names_unknown_and_missing_keys(tmp_path):
 def test_load_names_malformed_field(tmp_path):
     with pytest.raises(ValueError, match="archive field 'abs2_sum' is malformed"):
         harness.load_result(_archive(tmp_path, abs2_sum=[0.0]))
+
+
+@pytest.mark.parametrize("key, value", [("counts", 2**31), ("counts", -1), ("bins", 2**31)])
+def test_load_refuses_histogram_values_outside_int32(tmp_path, key, value):
+    path = _archive(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["histograms"][0][key][0] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="archive field 'histograms' is malformed.*outside"):
+        harness.load_result(path)

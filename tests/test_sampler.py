@@ -109,17 +109,6 @@ def test_empirical_covariance_level2():
     assert abs(acc / n - theo) < 0.015
 
 
-def _dense_level_draw(j, grid, seed, replica):
-    """Dense-factorization draw of the level-j field: the closed-form grid
-    covariance matrix factored by symmetric eigendecomposition.  Same law as
-    sample_level, different path and stream usage; for small grids only."""
-    t = grid.times()
-    cov = geometry.level_covariance(j, np.abs(t[:, None] - t[None, :]))
-    vals, vecs = np.linalg.eigh(cov)
-    factor = vecs * np.sqrt(np.maximum(vals, 0.0))
-    return factor @ rng.field_stream(seed, replica, j).standard_normal(grid.size)
-
-
 def test_dense_sampler_matches_law():
     # same closed-form covariance through the dense factorization path
     grid = sampler.GridSpec(64)
@@ -128,9 +117,11 @@ def test_dense_sampler_matches_law():
     acc = 0.0
     n = 4000
     for r in range(n):
-        row = _dense_level_draw(2, grid, seed=6, replica=r)
+        row = sampler.sample_level_dense(2, grid, seed=6, replica=r)
         acc += row[:-lag_pts] @ row[lag_pts:] / (64 - lag_pts)
     assert abs(acc / n - theo) < 0.015
+    with pytest.raises(ValueError):
+        sampler.sample_level_dense(1, sampler.GridSpec(1024), seed=0)
 
 
 def test_long_range_decoupling_on_grid():
