@@ -3,8 +3,9 @@
 Subcommands: verify (exact/closed-form suites), simulate (one replica),
 spectrum (ensemble statistics), dims (slope estimates as JSON), clt
 (rescaling profile) and report (re-derive fits from an archived ensemble).
-A flat key=value config file can provide any flag's value; explicit flags
-win.
+build_parser declares every option once. A flat key = value config file
+(`--config`) is read as flags placed right after the subcommand, so its
+values are checked like flags and explicit flags win.
 """
 
 from __future__ import annotations
@@ -21,37 +22,23 @@ from . import estimators, geometry, harness, measure, spectral
 from .sampler import GridSpec, covariance_sequence, embedding_spectrum, sample_hierarchy
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+def _config_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flags a key = value config file stands for: `fit_lo = 16` (or
+    `fit-lo = 16`) becomes `--fit-lo=16`."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        parser.error(f"cannot read config file {path!r}: {exc.strerror}")
+    argv = []
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {raw!r} is not key=value")
+            parser.error(f"config line {raw!r} is not key=value")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
-    """Merge CLI values, config-file values and defaults; flags win."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for key, (cast, default) in spec.items():
-        cli = getattr(args, key, None)
-        if cli is not None:
-            out[key] = cli
-        elif key in file_values:
-            out[key] = cast(file_values[key])
-        elif default is not _REQUIRED:
-            out[key] = default
-        else:
-            raise SystemExit(f"missing required option --{key.replace('_', '-')}")
-    return out
-
-
-_REQUIRED = object()
+        argv.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return argv
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +170,15 @@ def _check_exponents() -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 20240
     checks = [
         ("geometry_oracle_agreement", _check_geometry_oracle),
         ("geometry_telescoping", _check_telescoping),
         ("geometry_branch_continuity", _check_branch_continuity),
         ("embedding_exactness", _check_embedding),
-        ("product_difference_identity", lambda: _check_product_identity(seed)),
-        ("abel_regrouping_identity", lambda: _check_abel(seed)),
-        ("weight_moments", lambda: _check_moments(seed)),
-        ("increment_decomposition", lambda: _check_decomposition(seed)),
+        ("product_difference_identity", lambda: _check_product_identity(args.seed)),
+        ("abel_regrouping_identity", lambda: _check_abel(args.seed)),
+        ("weight_moments", lambda: _check_moments(args.seed)),
+        ("increment_decomposition", lambda: _check_decomposition(args.seed)),
         ("exponent_formulas", _check_exponents),
     ]
     failures = 0
@@ -211,21 +197,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _resolve(
-        args,
-        {
-            "gamma": (float, _REQUIRED),
-            "m": (int, _REQUIRED),
-            "grid": (int, _REQUIRED),
-            "seed": (int, 0),
-            "out": (str, "."),
-        },
-    )
-    grid = GridSpec(opts["grid"])
-    hierarchy = sample_hierarchy(opts["m"], grid, opts["seed"])
-    density = measure.chaos_density(hierarchy, opts["gamma"])
+    grid = GridSpec(args.grid)
+    hierarchy = sample_hierarchy(args.m, grid, args.seed)
+    density = measure.chaos_density(hierarchy, args.gamma)
     spectrum = spectral.fourier_coefficients(density, grid.size // spectral.NYQUIST_FRACTION)
-    out = Path(opts["out"])
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     measure.write_density_csv(density, out / "density.csv")
     spectral.write_spectrum_csv(spectrum, out / "spectrum.csv")
@@ -233,44 +209,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ensemble_options(extra: dict) -> dict:
-    base = {
-        "gamma": (float, _REQUIRED),
-        "m": (int, _REQUIRED),
-        "grid": (int, _REQUIRED),
-        "nmax": (int, _REQUIRED),
-        "reps": (int, _REQUIRED),
-        "seed": (int, 0),
-        "stat": (str, "median"),
-        "tau": (float, 0.0),
-    }
-    base.update(extra)
-    return base
-
-
-def _build_config(opts: dict, **overrides) -> harness.ExperimentConfig:
+def _build_config(args: argparse.Namespace, **overrides) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(
-        gamma=opts["gamma"],
-        depth=opts["m"],
-        grid_size=opts["grid"],
-        n_max=opts["nmax"],
-        tau=opts.get("tau", 0.0),
-        replicas=opts["reps"],
-        seed=opts["seed"],
-        statistic=opts.get("stat", "median"),
+        gamma=args.gamma,
+        depth=args.m,
+        grid_size=args.grid,
+        n_max=args.nmax,
+        tau=args.tau,
+        replicas=args.reps,
+        seed=args.seed,
+        statistic=args.stat,
         **overrides,
     )
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _ensemble_options({"out": (str, _REQUIRED), "format": (str, "csv")}))
-    config = _build_config(opts)
-    result = harness.run_ensemble(config, workers=args.workers)
-    if opts["format"] == "json":
-        harness.export_result(result, "json", opts["out"])
+    result = harness.run_ensemble(_build_config(args), workers=args.workers)
+    if args.format == "json":
+        harness.export_result(result, "json", args.out)
     else:
-        _write_ensemble_spectrum_csv(result, opts["out"])
-    print(f"wrote {opts['out']}")
+        _write_ensemble_spectrum_csv(result, args.out)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -292,29 +251,21 @@ def _write_ensemble_spectrum_csv(result: harness.EnsembleResult, path) -> None:
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
-    opts = _resolve(
-        args,
-        _ensemble_options(
-            {
-                "fit_lo": (int, 8),
-                "fit_hi": (int, None),
-                "level_lo": (int, 2),
-                "level_hi": (int, None),
-            }
-        ),
-    )
-    grid_log2 = GridSpec(opts["grid"]).log2_size
-    level_hi = opts["level_hi"] if opts["level_hi"] is not None else min(8, grid_log2)
-    levels = tuple(range(opts["level_lo"], level_hi + 1))
-    config = _build_config(opts, mass_levels=levels)
+    level_hi = args.level_hi if args.level_hi is not None else min(8, GridSpec(args.grid).log2_size)
+    levels = tuple(range(args.level_lo, level_hi + 1))
+    config = _build_config(args, mass_levels=levels)
+    fit_hi = args.nmax if args.fit_hi is None else args.fit_hi
+    # Rejects the fit window and the level range before any sampling.
+    estimators.dyadic_blocks(args.fit_lo, fit_hi, args.nmax)
+    estimators.validate_l2_levels(levels)
     result = harness.run_ensemble(config, workers=args.workers)
-    decay = harness.decay_fit_from_result(result, opts["fit_lo"], opts["fit_hi"])
+    decay = harness.decay_fit_from_result(result, args.fit_lo, fit_hi)
     l2 = harness.l2_fit_from_result(result)
     payload = {
         "version": harness.VERSION,
         "config": harness.config_to_dict(config),
-        "fourier_dimension": estimators.fourier_dimension(opts["gamma"]),
-        "correlation_dimension": estimators.correlation_dimension(opts["gamma"]),
+        "fourier_dimension": estimators.fourier_dimension(args.gamma),
+        "correlation_dimension": estimators.correlation_dimension(args.gamma),
         "decay": estimators.slope_fit_to_dict(decay),
         "l2": estimators.slope_fit_to_dict(l2),
     }
@@ -323,19 +274,12 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_clt(args: argparse.Namespace) -> int:
-    opts = _resolve(
-        args,
-        _ensemble_options(
-            {"out": (str, _REQUIRED), "block_lo": (int, 6), "block_hi": (int, 10)}
-        ),
-    )
     # Rejects gamma, --reps and --block-hi before any sampling.
-    estimators.validate_rescaling(opts["gamma"], opts["reps"], opts["nmax"], opts["block_hi"])
-    config = _build_config(opts)
-    result = harness.run_ensemble(config, workers=args.workers)
-    profile = harness.clt_profile_from_result(result, opts["block_lo"], opts["block_hi"])
-    estimators.write_profile_csv(profile, opts["out"])
-    print(f"wrote {opts['out']}")
+    estimators.validate_rescaling(args.gamma, args.reps, args.nmax, args.block_hi)
+    result = harness.run_ensemble(_build_config(args), workers=args.workers)
+    profile = harness.clt_profile_from_result(result, args.block_lo, args.block_hi)
+    estimators.write_profile_csv(profile, args.out)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -370,8 +314,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file; flags override")
+    parser.add_argument("--config", help="flat key = value config file; flags override")
     parser.add_argument("--workers", type=int, default=None, help="parallel replica workers")
+    parser.add_argument("--gamma", type=float, required=True)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--grid", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,47 +327,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the exact/closed-form suites")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=20240)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="one replica; dump density and spectrum CSV")
     _add_common(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_simulate)
 
     def ensemble_parser(name: str, help_text: str) -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help_text)
         _add_common(q)
-        q.add_argument("--gamma", type=float)
-        q.add_argument("--m", type=int)
-        q.add_argument("--grid", type=int)
-        q.add_argument("--nmax", type=int)
-        q.add_argument("--reps", type=int)
-        q.add_argument("--seed", type=int)
-        q.add_argument("--stat", choices=("mean", "median"))
-        q.add_argument("--tau", type=float)
+        q.add_argument("--nmax", type=int, required=True)
+        q.add_argument("--reps", type=int, required=True)
+        q.add_argument("--stat", choices=("mean", "median"), default="median")
+        q.add_argument("--tau", type=float, default=0.0)
         return q
 
     p = ensemble_parser("spectrum", "ensemble spectral statistics")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--out", required=True)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_spectrum)
 
     p = ensemble_parser("dims", "slope estimates and closed-form exponents as JSON")
-    p.add_argument("--fit-lo", dest="fit_lo", type=int)
-    p.add_argument("--fit-hi", dest="fit_hi", type=int)
-    p.add_argument("--level-lo", dest="level_lo", type=int)
-    p.add_argument("--level-hi", dest="level_hi", type=int)
+    p.add_argument("--fit-lo", dest="fit_lo", type=int, default=8)
+    p.add_argument("--fit-hi", dest="fit_hi", type=int, default=None)
+    p.add_argument("--level-lo", dest="level_lo", type=int, default=2)
+    p.add_argument("--level-hi", dest="level_hi", type=int, default=None)
     p.set_defaults(func=cmd_dims)
 
     p = ensemble_parser("clt", "rescaled-coefficient variance profile CSV")
-    p.add_argument("--out")
-    p.add_argument("--block-lo", dest="block_lo", type=int)
-    p.add_argument("--block-hi", dest="block_hi", type=int)
+    p.add_argument("--out", required=True)
+    p.add_argument("--block-lo", dest="block_lo", type=int, default=6)
+    p.add_argument("--block-hi", dest="block_hi", type=int, default=10)
     p.set_defaults(func=cmd_clt)
 
     p = sub.add_parser("report", help="re-derive fits from an archived ensemble JSON")
@@ -433,6 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    pre = argparse.ArgumentParser(prog="gmchaos", add_help=False)
+    pre.add_argument("--config")
+    found, _ = pre.parse_known_args(argv)
+    if found.config:
+        # File flags go right after the subcommand, so explicit flags win.
+        argv[1:1] = _config_argv(pre, found.config)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -153,25 +153,33 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
+def dyadic_blocks(n_lo: int, n_hi: int, n_max: int) -> range:
+    """Exponents a of the complete blocks [2^a, 2^(a+1)) inside [n_lo, n_hi],
+    once n_hi <= n_max and at least 4 such blocks are checked."""
+    if n_hi > n_max:
+        raise ValueError(f"n_hi = {n_hi} beyond the available {n_max} frequencies")
+    first = stop = max(0, math.ceil(math.log2(max(n_lo, 1))))
+    while 2 ** (stop + 1) <= n_hi + 1:
+        stop += 1
+    exponents = range(first, stop)
+    if len(exponents) < 4:
+        raise ValueError(f"need at least 4 complete dyadic blocks in [{n_lo}, {n_hi}]")
+    return exponents
+
+
 def dyadic_block_fit(block_stat, n_lo: int, n_hi: int, n_max: int, statistic: str) -> SlopeFit:
     """Regress a per-block statistic of log |mu_hat(n)|^2 on log n.
 
-    For each complete block [2^a, 2^(a+1)) inside [n_lo, n_hi] (at most
-    n_max), `block_stat(a)` is regressed on the block's mean log-frequency;
+    For each block exponent a of dyadic_blocks(n_lo, n_hi, n_max),
+    `block_stat(a)` is regressed on the mean log-frequency of [2^a, 2^(a+1));
     the slope estimates minus the decay exponent.  decay_slope feeds it
     pooled raw values, harness.decay_fit_from_result ensemble aggregates.
     """
-    if n_hi > n_max:
-        raise ValueError(f"n_hi = {n_hi} beyond the available {n_max} frequencies")
     blocks = []
-    a = max(0, math.ceil(math.log2(max(n_lo, 1))))
-    while 2 ** (a + 1) <= n_hi + 1:
+    for a in dyadic_blocks(n_lo, n_hi, n_max):
         lo, hi = 2**a, 2 ** (a + 1)
         x = float(np.mean(np.log(np.arange(lo, hi))))
         blocks.append((float(lo), float(hi), x, float(block_stat(a))))
-        a += 1
-    if len(blocks) < 4:
-        raise ValueError(f"need at least 4 complete dyadic blocks in [{n_lo}, {n_hi}]")
     _, _, xs, ys = np.array(blocks).T
     slope, intercept, stderr = line_fit(xs, ys)
     return SlopeFit(
@@ -219,6 +227,14 @@ def decay_slope(
     return dyadic_block_fit(block_stat, n_lo, n_hi, n_max, label)
 
 
+def validate_l2_levels(levels) -> list[int]:
+    """The levels as a list, once at least two (a slope's minimum) are checked."""
+    levels = list(levels)
+    if len(levels) < 2:
+        raise ValueError(f"an L2 slope needs at least two levels, got {levels}")
+    return levels
+
+
 def l2_spectrum_slope(data, levels) -> SlopeFit:
     """Scaling of the dyadic L2 sums S(level) = sum of squared interval masses.
 
@@ -227,7 +243,7 @@ def l2_spectrum_slope(data, levels) -> SlopeFit:
     The fit of log mean S against log interval length estimates the
     correlation dimension.
     """
-    levels = list(levels)
+    levels = validate_l2_levels(levels)
     items = data if isinstance(data, np.ndarray) else list(data)
     if not isinstance(items, np.ndarray) and items and hasattr(items[0], "values"):
         sums = np.array(

@@ -318,8 +318,6 @@ def decay_fit_from_result(
 
 
 def l2_fit_from_result(result: EnsembleResult) -> estimators.SlopeFit:
-    if not result.config.mass_levels:
-        raise ValueError("configuration recorded no mass levels")
     sums = result.level_sq_sum / result.count
     return estimators.l2_spectrum_slope(sums[None, :], result.config.mass_levels)
 

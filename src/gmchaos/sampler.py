@@ -224,7 +224,10 @@ def write_hierarchy(hierarchy: FieldHierarchy, path) -> None:
 def read_hierarchy(path) -> FieldHierarchy:
     """Read back a binary dump written by :func:`write_hierarchy`."""
     with open(path, "rb") as fh:
-        size, depth, seed, replica = _BINARY_HEADER.unpack(fh.read(_BINARY_HEADER.size))
+        header = fh.read(_BINARY_HEADER.size)
+        if len(header) < _BINARY_HEADER.size:
+            raise ValueError(f"dump {path} is shorter than its {_BINARY_HEADER.size}-byte header")
+        size, depth, seed, replica = _BINARY_HEADER.unpack(header)
         data = np.frombuffer(fh.read(), dtype="<f8").astype(float)
     needed = (depth + 1) * size
     if data.size != needed:

@@ -59,22 +59,62 @@ def test_spectrum_mean_stat_drops_quantile(tmp_path):
     assert out.read_text().splitlines()[0] == "n,re,im,abs2"
 
 
+CONFIG = (
+    "gamma = 0.5\nm = 8\ngrid = 1024\nnmax = 64\nreps = 8\nseed = 4\n"
+    "stat = mean\nout = ignored.csv\n# comment line\n"
+)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "gamma = 0.5\nm = 8\ngrid = 1024\nnmax = 64\nreps = 8\nseed = 4\n"
-        "stat = mean\nout = ignored.csv\n# comment line\n"
-    )
-    out = tmp_path / "ens.csv"
-    code = cli.main(["spectrum", "--config", str(cfg), "--out", str(out), "--reps", "5"])
+    cfg.write_text(CONFIG)
+    out = tmp_path / "ens.json"
+    code = cli.main(["spectrum", "--config", str(cfg), "--format", "json", "--out", str(out),
+                     "--reps", "5"])
     assert code == 0
-    assert out.exists()
+    result = harness.load_result(out)
+    assert result.count == 5
+    assert (result.config.seed, result.config.statistic) == (4, "mean")
+
+
+@pytest.mark.parametrize("line", ["sead = 3", "format = xml", "stat = mode", "reps = many", "reps 8"])
+def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, line):
+    ran = []
+    monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG + line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "ens.csv")])
+    assert exc.value.code == 2
+    assert ran == []
+
+
+def test_config_file_keys_take_either_spelling(tmp_path, monkeypatch, capsys):
+    seen = []
+    run_ensemble = harness.run_ensemble
+
+    def recording_run(config, workers=None):
+        seen.append(workers)
+        return run_ensemble(config, workers=workers)
+
+    monkeypatch.setattr(harness, "run_ensemble", recording_run)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "gamma = 0.5\nm = 10\ngrid = 2048\nnmax = 256\nreps = 8\nseed = 6\n"
+        "fit-lo = 16\nlevel_hi = 6\nworkers = 2\n"
+    )
+    assert cli.main(["dims", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["decay"]["lo"] == 16
+    assert payload["l2"]["hi"] == 6
+    assert seen == [2]
 
 
 def test_missing_required_flag_errors(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum", "--gamma", "0.5", "--m", "8", "--grid", "1024",
                   "--nmax", "64", "--reps", "8"])  # no --out
+    assert exc.value.code == 2
 
 
 def test_dims_json_output(tmp_path, capsys):
@@ -168,4 +208,22 @@ def test_clt_validates_before_sampling(tmp_path, monkeypatch, reps, block_hi, me
             ["clt", "--gamma", "0.4", "--m", "8", "--grid", "1024", "--nmax", "64",
              "--reps", reps, "--block-hi", block_hi, "--seed", "5", "--out", str(tmp_path / "x.csv")]
         )
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--nmax", "64"], r"4 complete dyadic blocks in \[8, 64\]"),
+        (["--nmax", "128", "--fit-hi", "256"], "n_hi = 256 beyond the available 128"),
+        (["--nmax", "128", "--level-lo", "5", "--level-hi", "4"], r"two levels, got \[\]"),
+        (["--nmax", "128", "--level-lo", "4", "--level-hi", "4"], r"two levels, got \[4\]"),
+    ],
+    ids=["three-blocks", "fit-hi-beyond-nmax", "no-levels", "one-level"],
+)
+def test_dims_validates_before_sampling(monkeypatch, flags, message):
+    ran = []
+    monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))
+    with pytest.raises(ValueError, match=message):
+        cli.main(["dims", "--gamma", "0.5", "--m", "9", "--grid", "2048", "--reps", "400"] + flags)
     assert ran == []

@@ -173,6 +173,13 @@ def test_l2_slope_scale_invariance():
     assert scaled.slope == pytest.approx(base.slope, abs=1e-12)
 
 
+def test_l2_slope_refuses_fewer_than_two_levels():
+    with pytest.raises(ValueError, match=r"at least two levels, got \[4\]"):
+        estimators.l2_spectrum_slope(np.array([[0.5]]), [4])
+    with pytest.raises(ValueError, match=r"at least two levels, got \[\]"):
+        estimators.l2_spectrum_slope(np.empty((1, 0)), range(5, 5))
+
+
 def test_l2_slope_from_densities():
     from gmchaos import measure, sampler
 

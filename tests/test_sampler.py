@@ -165,6 +165,13 @@ def test_binary_dump_rejects_truncated_payload(tmp_path):
         sampler.read_hierarchy(path)
 
 
+def test_binary_dump_rejects_truncated_header(tmp_path):
+    path = tmp_path / "hierarchy.bin"
+    path.write_bytes(bytes(10))
+    with pytest.raises(ValueError, match="hierarchy.bin is shorter than its 32-byte header"):
+        sampler.read_hierarchy(path)
+
+
 def _inline_block_draw(lo, hi, grid, seed, replica):
     """The colouring written out: complex noise from the block's stream times
     sqrt(summed eigenvalues / period points), one FFT, real first half."""
