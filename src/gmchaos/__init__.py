@@ -21,6 +21,7 @@ from .estimators import (
     find_exponents,
     fourier_dimension,
     l2_spectrum_slope,
+    norm_powers,
     power_law_spectrum,
     uniform_bound_probe,
     write_profile_csv,
@@ -52,6 +53,7 @@ from .measure import (
     holder_moment_probe,
     holder_moment_quadrature,
     interval_mass,
+    l2_sums,
     weight_field,
     weight_moment,
     weight_moment_mc,

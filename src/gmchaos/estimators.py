@@ -140,6 +140,13 @@ class SlopeFit:
     blocks: tuple[tuple[float, float, float, float], ...]  # (lo, hi, x, y)
 
 
+def _slope_fit(blocks, statistic: str) -> SlopeFit:
+    """The least-squares line through (lo, hi, x, y) block rows."""
+    _, _, xs, ys = np.array(blocks).T
+    slope, intercept, stderr = line_fit(xs, ys)
+    return SlopeFit(slope, intercept, stderr, blocks[0][0], blocks[-1][1], statistic, tuple(blocks))
+
+
 def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Ordinary least squares with the usual slope standard error."""
     x = np.asarray(x, dtype=float)
@@ -180,17 +187,7 @@ def dyadic_block_fit(block_stat, n_lo: int, n_hi: int, n_max: int, statistic: st
         lo, hi = 2**a, 2 ** (a + 1)
         x = float(np.mean(np.log(np.arange(lo, hi))))
         blocks.append((float(lo), float(hi), x, float(block_stat(a))))
-    _, _, xs, ys = np.array(blocks).T
-    slope, intercept, stderr = line_fit(xs, ys)
-    return SlopeFit(
-        slope=slope,
-        intercept=intercept,
-        stderr=stderr,
-        lo=blocks[0][0],
-        hi=blocks[-1][1],
-        statistic=statistic,
-        blocks=tuple(blocks),
-    )
+    return _slope_fit(blocks, statistic)
 
 
 def decay_slope(
@@ -235,38 +232,21 @@ def validate_l2_levels(levels) -> list[int]:
     return levels
 
 
-def l2_spectrum_slope(data, levels) -> SlopeFit:
+def l2_spectrum_slope(sums, levels) -> SlopeFit:
     """Scaling of the dyadic L2 sums S(level) = sum of squared interval masses.
 
-    `data` is either a sequence of chaos densities or an array of
-    precomputed S values with one row per replica and one column per level.
-    The fit of log mean S against log interval length estimates the
-    correlation dimension.
+    `sums` holds S values (measure.l2_sums) with one row per replica and one
+    column per level.  The fit of log mean S against log interval length
+    estimates the correlation dimension.
     """
     levels = validate_l2_levels(levels)
-    items = data if isinstance(data, np.ndarray) else list(data)
-    if not isinstance(items, np.ndarray) and items and hasattr(items[0], "values"):
-        sums = np.array(
-            [[float(np.sum(measure.dyadic_masses(d, lv) ** 2)) for lv in levels] for d in items]
-        )
-    else:
-        sums = np.atleast_2d(np.asarray(items, dtype=float))
+    sums = np.atleast_2d(np.asarray(sums, dtype=float))
     if sums.shape[1] != len(levels):
         raise ValueError("one column of S values per level is required")
-    mean_s = sums.mean(axis=0)
     x = np.array([math.log(2.0**-lv) for lv in levels])
-    y = np.log(np.maximum(mean_s, LOG_FLOOR))
-    slope, intercept, stderr = line_fit(x, y)
-    blocks = tuple((float(lv), float(lv), float(xx), float(yy)) for lv, xx, yy in zip(levels, x, y))
-    return SlopeFit(
-        slope=slope,
-        intercept=intercept,
-        stderr=stderr,
-        lo=float(levels[0]),
-        hi=float(levels[-1]),
-        statistic="mean",
-        blocks=blocks,
-    )
+    y = np.log(np.maximum(sums.mean(axis=0), LOG_FLOOR))
+    blocks = [(float(lv), float(lv), float(a), float(b)) for lv, a, b in zip(levels, x, y)]
+    return _slope_fit(blocks, "mean")
 
 
 def clt_exponent(gamma: float) -> float:
@@ -315,6 +295,15 @@ def clt_rescale_profile(
     return rescaled_variance_profile(var, data.shape[0], gamma, block_lo_exp, block_hi_exp)
 
 
+def norm_powers(coefficients, tau: float, p: float, q: float):
+    """p-th power of the l^q norm of n^(tau/2) mu_hat(n), n = 1.., along the
+    last axis.  The root and the power are taken on the shape given, so a
+    1-D row gets numpy's scalar power, a 2-D array its array power."""
+    coefficients = np.asarray(coefficients)
+    n = np.arange(1, coefficients.shape[-1] + 1)
+    return spectral.lq_norm(n ** (tau / 2.0) * coefficients, q) ** p
+
+
 def uniform_bound_probe(
     gamma: float,
     tau: float,
@@ -335,14 +324,8 @@ def uniform_bound_probe(
             f"(p={p}, q={q}) infeasible for gamma={gamma}, tau={tau}: margin = {margin:.6g}"
         )
     depths = sorted(spectra_by_depth)
-    means = np.empty(len(depths))
-    for i, depth in enumerate(depths):
-        coeffs = np.atleast_2d(np.asarray(spectra_by_depth[depth]))
-        n = np.arange(1, coeffs.shape[1] + 1)
-        weighted = n ** (tau / 2.0) * coeffs
-        norms = np.sum(np.abs(weighted) ** q, axis=1) ** (1.0 / q)
-        means[i] = np.mean(norms**p)
-    return depths, means
+    means = [np.mean(norm_powers(np.atleast_2d(spectra_by_depth[d]), tau, p, q)) for d in depths]
+    return depths, np.array(means)
 
 
 def write_slope_csv(fit: SlopeFit, path) -> None:

@@ -71,6 +71,7 @@ class ExperimentConfig:
             raise ValueError("norm depths must lie within the construction depth")
         if any(not 0 <= v <= grid.log2_size for v in self.mass_levels):
             raise ValueError("mass levels must be resolvable on the grid")
+        self.exponents()  # norm depths need a feasible (p, q) plan
 
     @property
     def grid(self) -> GridSpec:
@@ -200,25 +201,18 @@ def run_replica(config: ExperimentConfig, replica_id: int) -> ReplicaRecord:
     hierarchy = sample_blocks(depths, config.grid, config.seed, replica_id)
     density = measure.chaos_density(hierarchy, config.gamma)
     spectrum = spectral.fourier_coefficients(density, config.n_max)
-    level_sq = np.array(
-        [float(np.sum(measure.dyadic_masses(density, lv) ** 2)) for lv in config.mass_levels]
-    )
     plan = config.exponents()
-    if plan is None:
-        norms = np.zeros(len(config.norm_depths))
-    else:
-        norms = np.empty(len(config.norm_depths))
+    norms = np.zeros(len(config.norm_depths))
+    if plan is not None:
         for i, depth in enumerate(config.norm_depths):
             part = measure.chaos_density(hierarchy, config.gamma, depth=depth)
-            vec = spectral.martingale_vector(
-                spectral.fourier_coefficients(part, config.n_max), config.tau
-            )
-            norms[i] = vec.lq(plan.q) ** plan.p
+            coefficients = spectral.fourier_coefficients(part, config.n_max).coefficients
+            norms[i] = estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
     return ReplicaRecord(
         replica=int(replica_id),
         coefficients=spectrum.coefficients,
         total_mass=float(density.values.mean()),
-        level_mass_sq=level_sq,
+        level_mass_sq=measure.l2_sums(density, config.mass_levels),
         norm_powers=norms,
     )
 
@@ -400,7 +394,7 @@ def export_result(result: EnsembleResult, fmt: str, path) -> None:
         payload = {"version": VERSION, "config": config_to_dict(result.config)}
         payload.update((name, _encode(getattr(result, name))) for name in FIELDS)
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            json.dump(payload, fh, allow_nan=False)  # NaN and infinity are not JSON
             fh.write("\n")
     elif fmt == "csv":
         with open(path, "w", newline="") as fh:
@@ -411,11 +405,16 @@ def export_result(result: EnsembleResult, fmt: str, path) -> None:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"archive holds the non-finite number {token}")
+
+
 def load_result(path) -> EnsembleResult:
     """Read an archive written by export_result.  Another version, a missing
-    or unknown key or a malformed field is a ValueError that names it."""
+    or unknown key, a malformed field or a NaN or infinity is a ValueError
+    that names it."""
     with open(path) as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, parse_constant=_refuse_constant)
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != VERSION:
         raise ValueError(f"archive version {version!r} is not this library's {VERSION!r}")

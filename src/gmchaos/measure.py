@@ -118,6 +118,11 @@ def dyadic_masses(density: ChaosDensity, level: int) -> np.ndarray:
     return density.values.reshape(2**level, -1).sum(axis=1) / density.grid.size
 
 
+def l2_sums(density: ChaosDensity, levels) -> np.ndarray:
+    """Sum of squared dyadic masses at each level."""
+    return np.array([float(np.sum(dyadic_masses(density, lv) ** 2)) for lv in levels])
+
+
 def frostman_scan(density: ChaosDensity, alpha: float, levels) -> np.ndarray:
     """Per-level sup over dyadic intervals of mass(I) / |I|^alpha."""
     if not 0.0 <= alpha <= 1.0:

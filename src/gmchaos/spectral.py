@@ -63,9 +63,6 @@ class SpectrumVector:
         """n^(tau/2) * mu_hat(n)."""
         return self.frequencies ** (self.tau / 2.0) * self.coefficients
 
-    def lq(self, q: float) -> float:
-        return lq_norm(self.weighted, q)
-
 
 def fourier_coefficients(density: measure.ChaosDensity, n_max: int) -> SpectrumVector:
     """Rectangle-rule coefficients (1/G) sum values * exp(-2 pi i n t).
@@ -83,11 +80,11 @@ def martingale_vector(spectrum: SpectrumVector, tau: float) -> SpectrumVector:
     return SpectrumVector(n_max=spectrum.n_max, coefficients=spectrum.coefficients, tau=_check_tau(tau))
 
 
-def lq_norm(values, q: float) -> float:
-    """Truncated l^q norm of a coefficient vector."""
+def lq_norm(values, q: float):
+    """Truncated l^q norm of coefficient vectors along the last axis."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q!r}")
-    return float(np.sum(np.abs(np.asarray(values)) ** q) ** (1.0 / q))
+    return np.sum(np.abs(np.asarray(values)) ** q, axis=-1) ** (1.0 / q)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -185,14 +186,25 @@ def test_report_reads_uniform_bound_depths(tmp_path):
     assert summary["uniform_bound"] == dict(zip(["5", "7"], (result.norm_sum / 4).tolist()))
 
 
-def test_clt_rejects_large_gamma(tmp_path, monkeypatch):
+def usage_error(capsys, argv) -> str:
+    """The one-line error `gmchaos argv` prints to stderr as it exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith("gmchaos: error: ")
+    return lines[-1]
+
+
+def test_clt_rejects_large_gamma(tmp_path, monkeypatch, capsys):
     ran = []
     monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))
-    with pytest.raises(ValueError):
-        cli.main(
-            ["clt", "--gamma", "0.9", "--m", "8", "--grid", "1024", "--nmax", "64",
-             "--reps", "120", "--seed", "5", "--out", str(tmp_path / "x.csv")]
-        )
+    message = usage_error(
+        capsys,
+        ["clt", "--gamma", "0.9", "--m", "8", "--grid", "1024", "--nmax", "64",
+         "--reps", "120", "--seed", "5", "--out", str(tmp_path / "x.csv")],
+    )
+    assert "rescaling regime needs gamma in [0, sqrt(2)/2), got 0.9" in message
     assert ran == []
 
 
@@ -200,14 +212,14 @@ def test_clt_rejects_large_gamma(tmp_path, monkeypatch):
     "reps,block_hi,message",
     [("60", "6", "at least 100 replicas, got 60"), ("120", "8", "blocks end at 255, beyond the 64")],
 )
-def test_clt_validates_before_sampling(tmp_path, monkeypatch, reps, block_hi, message):
+def test_clt_validates_before_sampling(tmp_path, monkeypatch, capsys, reps, block_hi, message):
     ran = []
     monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))
-    with pytest.raises(ValueError, match=message):
-        cli.main(
-            ["clt", "--gamma", "0.4", "--m", "8", "--grid", "1024", "--nmax", "64",
-             "--reps", reps, "--block-hi", block_hi, "--seed", "5", "--out", str(tmp_path / "x.csv")]
-        )
+    assert message in usage_error(
+        capsys,
+        ["clt", "--gamma", "0.4", "--m", "8", "--grid", "1024", "--nmax", "64",
+         "--reps", reps, "--block-hi", block_hi, "--seed", "5", "--out", str(tmp_path / "x.csv")],
+    )
     assert ran == []
 
 
@@ -221,9 +233,21 @@ def test_clt_validates_before_sampling(tmp_path, monkeypatch, reps, block_hi, me
     ],
     ids=["three-blocks", "fit-hi-beyond-nmax", "no-levels", "one-level"],
 )
-def test_dims_validates_before_sampling(monkeypatch, flags, message):
+def test_dims_validates_before_sampling(monkeypatch, capsys, flags, message):
     ran = []
     monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))
-    with pytest.raises(ValueError, match=message):
-        cli.main(["dims", "--gamma", "0.5", "--m", "9", "--grid", "2048", "--reps", "400"] + flags)
+    argv = ["dims", "--gamma", "0.5", "--m", "9", "--grid", "2048", "--reps", "400"] + flags
+    assert re.search(message, usage_error(capsys, argv))
     assert ran == []
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_simulate_refuses_workers(tmp_path, capsys, how):
+    argv = ["simulate", "--gamma", "0.5", "--m", "6", "--grid", "256", "--out", str(tmp_path)]
+    if how == "flag":
+        argv += ["--workers", "2"]
+    else:
+        (tmp_path / "run.cfg").write_text("workers = 2\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert "unrecognized arguments: --workers" in usage_error(capsys, argv)
+    assert not (tmp_path / "density.csv").exists()

@@ -184,8 +184,8 @@ def test_l2_slope_from_densities():
     from gmchaos import measure, sampler
 
     h = sampler.sample_hierarchy(6, sampler.GridSpec(256), seed=2)
-    densities = [measure.chaos_density(h, 0.0)]
-    fit = estimators.l2_spectrum_slope(densities, range(1, 6))
+    sums = [measure.l2_sums(measure.chaos_density(h, 0.0), range(1, 6))]
+    fit = estimators.l2_spectrum_slope(sums, range(1, 6))
     assert fit.slope == pytest.approx(1.0, abs=1e-10)
 
 

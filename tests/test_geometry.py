@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmchaos import geometry
 
@@ -128,6 +130,13 @@ def test_quadrature_agrees_with_closed_form():
             closed = geometry.level_covariance(j, float(h))
             quad = float(geometry.overlap_quadrature(j, float(h), 2000))
             assert abs(closed - quad) < 1e-3
+
+
+@given(j=st.integers(0, 10), frac=st.floats(0.0, 1.5))
+def test_quadrature_agrees_with_closed_form_at_random_lags(j, frac):
+    h = frac * 2.0**-j  # in units of the level's support
+    closed = geometry.level_covariance(j, h)
+    assert abs(closed - float(geometry.overlap_quadrature(j, h, 2000))) < 1e-3
 
 
 def test_quadrature_converges_with_resolution():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmchaos import harness, rng
+from gmchaos import estimators, harness, measure, rng, sampler, spectral
 
 
 def small_config(**overrides):
@@ -51,6 +53,8 @@ def test_config_validation():
         small_config(mass_levels=(12,))
     with pytest.raises(ValueError):
         small_config(tau=1.0)
+    with pytest.raises(estimators.NoFeasibleExponentsError):
+        small_config(gamma=1.3, tau=0.5, norm_depths=(5,))  # tau above the decay exponent
 
 
 def test_replica_determinism_and_separation():
@@ -253,6 +257,43 @@ def test_run_replica_draws_one_field_per_read_depth(monkeypatch):
     assert [key[2:] for key in opened] == [(0, 6), (7, 8), (9, 10), (11, 12), (13, 16)]
 
 
+def _block_fields(config, replica):
+    """The fields run_replica reads, drawn the way it draws them."""
+    depths = sorted({*config.norm_depths, config.depth})
+    return sampler.sample_blocks(depths, config.grid, config.seed, replica)
+
+
+def test_replica_statistics_are_the_kernels():
+    config = small_config()
+    plan = config.exponents()
+    for replica in range(3):
+        record = harness.run_replica(config, replica)
+        hierarchy = _block_fields(config, replica)
+        density = measure.chaos_density(hierarchy, config.gamma)
+        level_sq = measure.l2_sums(density, config.mass_levels)
+        assert record.level_mass_sq.tobytes() == level_sq.tobytes()
+        for depth, value in zip(config.norm_depths, record.norm_powers):
+            part = measure.chaos_density(hierarchy, config.gamma, depth=depth)
+            coefficients = spectral.fourier_coefficients(part, config.n_max).coefficients
+            assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
+
+
+def test_norm_sum_matches_uniform_bound_probe():
+    config = small_config(replicas=8)
+    plan = config.exponents()
+    result = harness.run_ensemble(config)
+    spectra = {}
+    for depth in config.norm_depths:
+        rows = []
+        for replica in range(config.replicas):
+            part = measure.chaos_density(_block_fields(config, replica), config.gamma, depth=depth)
+            rows.append(spectral.fourier_coefficients(part, config.n_max).coefficients)
+        spectra[depth] = np.array(rows)
+    depths, means = estimators.uniform_bound_probe(config.gamma, config.tau, plan.p, plan.q, spectra)
+    assert depths == list(config.norm_depths)
+    np.testing.assert_allclose(result.norm_sum / result.count, means, rtol=1e-12)
+
+
 def test_histogram_median_within_half_a_bin():
     gen = np.random.default_rng(0)
     for size in (1, 2, 7, 40, 1001):
@@ -354,6 +395,32 @@ def test_load_names_unknown_and_missing_keys(tmp_path):
 def test_load_names_malformed_field(tmp_path):
     with pytest.raises(ValueError, match="archive field 'abs2_sum' is malformed"):
         harness.load_result(_archive(tmp_path, abs2_sum=[0.0]))
+
+
+@pytest.mark.parametrize(
+    "field, index, token",
+    [("mass_sum", None, "NaN"), ("abs2_sum", 0, "Infinity"), ("coeff_sum", 3, "-Infinity")],
+)
+def test_load_refuses_non_finite_numbers(tmp_path, field, index, token):
+    path = _archive(tmp_path)
+    payload = json.loads(path.read_text())
+    if index is None:
+        payload[field] = float(token)
+    else:
+        payload[field][index] = float(token)
+    path.write_text(json.dumps(payload))
+    assert token in path.read_text()
+    with pytest.raises(ValueError, match=f"non-finite number {token}$"):
+        harness.load_result(path)
+
+
+def test_export_refuses_non_finite_numbers(tmp_path):
+    result = harness.run_ensemble(small_config(replicas=2))
+    path = tmp_path / "ensemble.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        harness.export_result(dataclasses.replace(result, mass_sum=math.nan), "json", path)
+    with pytest.raises(ValueError):
+        harness.load_result(path)  # the file is cut off before the NaN
 
 
 @pytest.mark.parametrize("key, value", [("counts", 2**31), ("counts", -1), ("bins", 2**31)])

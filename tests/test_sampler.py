@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmchaos import geometry, measure, rng, sampler
 
@@ -38,6 +40,16 @@ def test_embedding_psd(j, size):
     spec = sampler.embedding_spectrum(seq, level=j)
     assert np.all(spec.eigenvalues >= 0.0)
     assert spec.period_points == 2 * size
+
+
+@given(log2_size=st.integers(1, 16), lo=st.integers(0, 18), width=st.integers(0, 3))
+def test_block_embedding_is_psd_on_any_grid(log2_size, lo, width):
+    grid = sampler.GridSpec(2**log2_size)
+    seqs = [sampler.covariance_sequence(j, grid) for j in range(lo, lo + width + 1)]
+    for j, seq in zip(range(lo, lo + width + 1), seqs):
+        assert np.all(sampler.embedding_spectrum(seq, level=j).eigenvalues >= 0.0)
+    block = sampler.embedding_spectrum(np.sum(seqs, axis=0))  # raises if not PSD
+    assert block.period_points == 2 * grid.size
 
 
 def test_embedding_rejects_non_psd():

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmchaos import measure, sampler, spectral
+
+COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +155,36 @@ def test_lq_norm_examples():
     assert spectral.lq_norm(3.0 * vec, 2.5) == pytest.approx(3.0 * spectral.lq_norm(vec, 2.5))
     with pytest.raises(ValueError):
         spectral.lq_norm(vec, 0.5)
+
+
+def test_lq_norm_along_last_axis():
+    gen = np.random.default_rng(3)
+    values = gen.standard_normal((7, 40)) + 1j * gen.standard_normal((7, 40))
+    for q in (1.0, 2.5, 16.0):
+        norms = spectral.lq_norm(values, q)
+        rows = np.concatenate([spectral.lq_norm(values[i : i + 1], q) for i in range(7)])
+        assert norms.tobytes() == rows.tobytes()
+        # a 1-D row takes numpy's scalar root, which may differ in the last bit
+        single = np.array([spectral.lq_norm(row, q) for row in values])
+        np.testing.assert_array_max_ulp(norms, single, maxulp=1)
+
+
+@given(pairs=st.lists(st.tuples(COMPLEX, COMPLEX), min_size=1, max_size=8))
+def test_product_difference_identity_property(pairs):
+    a, b = (np.array(side) for side in zip(*pairs))
+    expansion = spectral.product_difference_expansion(a, b)
+    assert abs(expansion - (np.prod(a) - np.prod(b))) < 1e-12
+
+
+@given(
+    level=st.integers(0, 6), k=st.integers(0, 4), index=st.integers(1, 16),
+    n=st.integers(1, 2048), data=st.data(),
+)
+def test_abel_identity_property(level, k, index, n, data):
+    values = np.array(data.draw(st.lists(COMPLEX, min_size=2**level + 1, max_size=2**level + 1)))
+    interval = spectral.DyadicInterval(k, 1 + (index - 1) % 2**k)
+    direct, abel = spectral.abel_segment_transform(values, interval, n)
+    assert abs(direct - abel) < 1e-12
 
 
 def test_product_difference_identity():
