@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     def ensemble_parser(name: str, help_text: str) -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help_text)
         _add_common(q)
-        q.add_argument("--workers", type=int, default=None, help="parallel replica workers")
+        q.add_argument("--workers", type=int, default=None, help="threads running replicas")
         q.add_argument("--nmax", type=int, required=True)
         q.add_argument("--reps", type=int, required=True)
         q.add_argument("--stat", choices=("mean", "median"), default="median")
@@ -380,13 +380,12 @@ def main(argv=None) -> int:
     if found.config:
         # File flags go right after the subcommand, so explicit flags win.
         argv[1:1] = _config_argv(pre, found.config)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # a refused input is a usage error
-        # Rebuilt, not held: pool workers forked by the command would each
-        # carry a live parser (about 1 MB more peak RSS with --workers 2).
-        build_parser().error(str(exc))
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

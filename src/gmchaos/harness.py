@@ -3,7 +3,10 @@
 A replica is a pure function of (config, replica id); it samples one field
 block per depth it reads, not one field per level.  An ensemble is the
 reduction of its replicas through a fixed pairwise summation tree, so the
-result is byte-identical no matter how the replicas were scheduled.
+result is byte-identical no matter how the replicas were scheduled.  With
+several workers the replicas run on threads of the calling process: numpy's
+FFTs, normal draws and exp release the interpreter lock, and all threads
+share one embedding cache.
 Aggregates are mergeable: counts and histograms merge exactly, floating
 accumulators merge associatively to rounding.
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -62,6 +65,8 @@ class ExperimentConfig:
             )
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         spectral._check_tau(self.tau)
         if self.statistic not in ("mean", "median"):
             raise ValueError(f"statistic must be mean or median, got {self.statistic!r}")
@@ -262,18 +267,21 @@ def run_ensemble(
     replica_range: tuple[int, int] | None = None,
     workers: int | None = None,
 ) -> EnsembleResult:
-    """Reduce run_replica over a replica id range (default 0..replicas).
+    """Reduce run_replica over a replica id range (default 0..replicas),
+    serially or on `workers` threads.
 
     The reduction follows a fixed pairwise tree over the id order, so any
-    degree of parallelism produces identical bytes.
+    number of workers produces identical bytes.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     lo, hi = replica_range if replica_range is not None else (0, config.replicas)
-    ids = list(range(lo, hi))
-    if workers and workers > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_replica, [config] * len(ids), ids, chunksize=8))
-    else:
+    ids = range(lo, hi)
+    if workers is None or workers == 1:
         records = [run_replica(config, i) for i in ids]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(run_replica, [config] * len(ids), ids))
     return _tree_reduce([_singleton(config, rec) for rec in records], config)
 
 

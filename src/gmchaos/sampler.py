@@ -139,13 +139,16 @@ def embedding_spectrum(seq: np.ndarray, level: int = -1) -> EmbeddingSpectrum:
 
 @lru_cache(maxsize=None)
 def _embedding_for(j: int, grid: GridSpec) -> EmbeddingSpectrum:
+    """Level j's embedding, cached.  Threads that race on a missing entry
+    may each compute it; the values are identical and one is kept."""
     return embedding_spectrum(covariance_sequence(j, grid), level=j)
 
 
 @lru_cache(maxsize=None)
 def _block_root(lo: int, hi: int, grid: GridSpec) -> np.ndarray:
     """Colouring filter of the block lo..hi: the square root of its summed
-    embedding eigenvalues over the period points."""
+    embedding eigenvalues over the period points.  Cached like
+    _embedding_for, with the same benign race between threads."""
     eigenvalues = np.sum([_embedding_for(j, grid).eigenvalues for j in range(lo, hi + 1)], axis=0)
     return np.sqrt(eigenvalues / (2 * grid.size))
 

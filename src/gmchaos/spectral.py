@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -234,6 +234,7 @@ class SeparationComponents:
     level_k: int
     max_block: int
     tau: float
+    slack: float
     n: np.ndarray
     direct_weights: np.ndarray
     abel_weights: np.ndarray
@@ -241,7 +242,6 @@ class SeparationComponents:
     increment_sums: np.ndarray
     bound: np.ndarray
     localized_abs: np.ndarray
-    slack: float
     satisfied: np.ndarray
 
     @property
@@ -337,21 +337,8 @@ def write_spectrum_csv(spectrum: SpectrumVector, path) -> None:
 
 
 def separation_to_dict(comp: SeparationComponents) -> dict:
-    return {
-        "level_k": comp.level_k,
-        "max_block": comp.max_block,
-        "tau": comp.tau,
-        "slack": comp.slack,
-        "n": comp.n.tolist(),
-        "direct_weights": comp.direct_weights.tolist(),
-        "abel_weights": comp.abel_weights.tolist(),
-        "residual_masses": comp.residual_masses.tolist(),
-        "increment_sums": comp.increment_sums.tolist(),
-        "bound": comp.bound.tolist(),
-        "localized_abs": comp.localized_abs.tolist(),
-        "satisfied": comp.satisfied.tolist(),
-        "all_satisfied": comp.all_satisfied,
-    }
+    data = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(comp).items()}
+    return {**data, "all_satisfied": comp.all_satisfied}
 
 
 def write_separation_json(comp: SeparationComponents, path) -> None:

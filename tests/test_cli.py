@@ -251,3 +251,23 @@ def test_simulate_refuses_workers(tmp_path, capsys, how):
         argv += ["--config", str(tmp_path / "run.cfg")]
     assert "unrecognized arguments: --workers" in usage_error(capsys, argv)
     assert not (tmp_path / "density.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--workers", "0"], "workers must be at least 1, got 0"),
+        (["--workers", "-3"], "workers must be at least 1, got -3"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+    ],
+    ids=["workers-0", "workers-negative", "seed-negative"],
+)
+def test_spectrum_refuses_before_any_replica(tmp_path, monkeypatch, capsys, flags, message):
+    ran = []
+    monkeypatch.setattr(harness, "run_replica", lambda *args: ran.append(args))
+    out = tmp_path / "ens.csv"
+    argv = ["spectrum", "--gamma", "0.5", "--m", "7", "--grid", "256", "--nmax", "32",
+            "--reps", "4", "--out", str(out)] + flags
+    assert usage_error(capsys, argv) == f"gmchaos: error: {message}"
+    assert ran == []
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -45,6 +46,8 @@ def test_config_validation():
         small_config(depth=6)  # below log2(n_max) + 2
     with pytest.raises(ValueError):
         small_config(replicas=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        small_config(seed=-1)
     with pytest.raises(ValueError):
         small_config(statistic="mode")
     with pytest.raises(ValueError):
@@ -172,14 +175,25 @@ def test_merge_rejects_config_mismatch():
         harness.merge_results(a, b)
 
 
-def test_parallel_execution_identical_bytes(tmp_path):
+@pytest.mark.parametrize("workers", [2, 4])
+def test_parallel_execution_identical_bytes(tmp_path, workers):
     config = small_config(replicas=8)
     seq = harness.run_ensemble(config)
-    par = harness.run_ensemble(config, workers=2)
+    par = harness.run_ensemble(config, workers=workers)
     assert seq.equals(par)
     harness.export_result(seq, "json", tmp_path / "seq.json")
     harness.export_result(par, "json", tmp_path / "par.json")
     assert (tmp_path / "seq.json").read_bytes() == (tmp_path / "par.json").read_bytes()
+
+
+def test_workers_run_in_the_calling_process(monkeypatch):
+    pids = []
+    run_replica = harness.run_replica
+    monkeypatch.setattr(
+        harness, "run_replica", lambda config, i: pids.append(os.getpid()) or run_replica(config, i)
+    )
+    harness.run_ensemble(small_config(replicas=4), workers=2)
+    assert pids == [os.getpid()] * 4
 
 
 def test_total_mass_martingale():
