@@ -138,21 +138,17 @@ def _check_moments(seed: int) -> str:
 
 
 def _check_decomposition(seed: int) -> str:
-    grid = GridSpec(1024)
-    hierarchy = sample_hierarchy(6, grid, seed)
+    hierarchy = sample_hierarchy(6, GridSpec(1024), seed)
     gamma, tau, n_max = 0.6, 0.4, 64
+    weights = spectral.decay_weights(n_max, tau)
+    densities = [measure.chaos_density(hierarchy, gamma, k) for k in range(7)]
+    weighted = [weights * spectral.fourier_coefficients(d, n_max).coefficients for d in densities]
     worst = 0.0
     for k in range(1, 7):
-        low = spectral.martingale_vector(
-            spectral.fourier_coefficients(measure.chaos_density(hierarchy, gamma, k - 1), n_max), tau
-        )
-        high = spectral.martingale_vector(
-            spectral.fourier_coefficients(measure.chaos_density(hierarchy, gamma, k), n_max), tau
-        )
         total = np.zeros(n_max, dtype=complex)
         for interval in spectral.dyadic_family(k - 1):
             total += spectral.localized_vector(hierarchy, gamma, interval, tau, n_max).values
-        worst = max(worst, float(np.max(np.abs(total - (high.weighted - low.weighted)))))
+        worst = max(worst, float(np.max(np.abs(total - (weighted[k] - weighted[k - 1])))))
     if worst > 1e-10:
         raise AssertionError(f"increment decomposition defect {worst:.2e}")
     return f"max increment defect = {worst:.2e}"
@@ -237,17 +233,15 @@ def _write_ensemble_spectrum_csv(result: harness.EnsembleResult, path) -> None:
     """Per-frequency table (n, re, im, abs2[, quantile_50]); quantile_50 is
     exp of the block median of log |mu_hat|^2, repeated on its block's rows."""
     mean = result.coeff_sum / result.count
-    abs2 = result.abs2_sum / result.count
-    medians = None
+    header, columns = "n,re,im,abs2", [mean.real, mean.imag, result.abs2_sum / result.count]
     if result.config.statistic == "median":
         medians = [math.exp(stat) for _, _, stat in harness.block_table(result)]
+        sizes = [len(n) for n in spectral.block_frequencies(result.config.n_max)]
+        header, columns = header + ",quantile_50", columns + [np.repeat(medians, sizes)]
     with open(path, "w", newline="") as fh:
-        fh.write("n,re,im,abs2" + (",quantile_50\n" if medians is not None else "\n"))
-        for n in range(1, result.config.n_max + 1):
-            row = f"{n},{float(mean[n - 1].real)!r},{float(mean[n - 1].imag)!r},{float(abs2[n - 1])!r}"
-            if medians is not None:
-                row += f",{medians[int(math.log2(n))]!r}"
-            fh.write(row + "\n")
+        fh.write(header + "\n")
+        for n, row in enumerate(zip(*columns), start=1):
+            fh.write(",".join([str(n), *(repr(float(v)) for v in row)]) + "\n")
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
@@ -256,7 +250,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
     config = _build_config(args, mass_levels=levels)
     fit_hi = args.nmax if args.fit_hi is None else args.fit_hi
     # Rejects the fit window and the level range before any sampling.
-    estimators.dyadic_blocks(args.fit_lo, fit_hi, args.nmax)
+    spectral.dyadic_blocks(args.fit_lo, fit_hi, args.nmax)
     estimators.validate_l2_levels(levels)
     result = harness.run_ensemble(config, workers=args.workers)
     decay = harness.decay_fit_from_result(result, args.fit_lo, fit_hi)
@@ -274,8 +268,8 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_clt(args: argparse.Namespace) -> int:
-    # Rejects gamma, --reps and --block-hi before any sampling.
-    estimators.validate_rescaling(args.gamma, args.reps, args.nmax, args.block_hi)
+    # Rejects gamma, --reps and the block range before any sampling.
+    estimators.validate_rescaling(args.gamma, args.reps, args.nmax, args.block_lo, args.block_hi)
     result = harness.run_ensemble(_build_config(args), workers=args.workers)
     profile = harness.clt_profile_from_result(result, args.block_lo, args.block_hi)
     estimators.write_profile_csv(profile, args.out)

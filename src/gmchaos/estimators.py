@@ -160,33 +160,20 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
-def dyadic_blocks(n_lo: int, n_hi: int, n_max: int) -> range:
-    """Exponents a of the complete blocks [2^a, 2^(a+1)) inside [n_lo, n_hi],
-    once n_hi <= n_max and at least 4 such blocks are checked."""
-    if n_hi > n_max:
-        raise ValueError(f"n_hi = {n_hi} beyond the available {n_max} frequencies")
-    first = stop = max(0, math.ceil(math.log2(max(n_lo, 1))))
-    while 2 ** (stop + 1) <= n_hi + 1:
-        stop += 1
-    exponents = range(first, stop)
-    if len(exponents) < 4:
-        raise ValueError(f"need at least 4 complete dyadic blocks in [{n_lo}, {n_hi}]")
-    return exponents
-
-
 def dyadic_block_fit(block_stat, n_lo: int, n_hi: int, n_max: int, statistic: str) -> SlopeFit:
     """Regress a per-block statistic of log |mu_hat(n)|^2 on log n.
 
-    For each block exponent a of dyadic_blocks(n_lo, n_hi, n_max),
-    `block_stat(a)` is regressed on the mean log-frequency of [2^a, 2^(a+1));
+    For each block exponent a of spectral.dyadic_blocks(n_lo, n_hi, n_max),
+    `block_stat(a)` is regressed on the mean log-frequency of the block;
     the slope estimates minus the decay exponent.  decay_slope feeds it
     pooled raw values, harness.decay_fit_from_result ensemble aggregates.
     """
+    frequencies = spectral.block_frequencies(n_max)
     blocks = []
-    for a in dyadic_blocks(n_lo, n_hi, n_max):
-        lo, hi = 2**a, 2 ** (a + 1)
-        x = float(np.mean(np.log(np.arange(lo, hi))))
-        blocks.append((float(lo), float(hi), x, float(block_stat(a))))
+    for a in spectral.dyadic_blocks(n_lo, n_hi, n_max):
+        n = frequencies[a]
+        x = float(np.mean(np.log(np.arange(n.start, n.stop))))
+        blocks.append((float(n.start), float(n.stop), x, float(block_stat(a))))
     return _slope_fit(blocks, statistic)
 
 
@@ -209,16 +196,13 @@ def decay_slope(
         raise ValueError("quantile statistic needs q")
     if statistic in ("median", "quantile") and replicas < 30:
         raise ValueError(f"{statistic} statistic needs at least 30 replicas, got {replicas}")
+    reducers = {"mean": np.mean, "median": np.median, "quantile": lambda x: np.quantile(x, q)}
+    if statistic not in reducers:
+        raise ValueError(f"statistic must be mean, median or quantile, got {statistic!r}")
+    columns = spectral.block_columns(n_max)
 
     def block_stat(a: int) -> float:
-        pooled = np.log(np.maximum(data[:, 2**a - 1 : 2 ** (a + 1) - 1], LOG_FLOOR))
-        if statistic == "mean":
-            return float(pooled.mean())
-        if statistic == "median":
-            return float(np.median(pooled))
-        if statistic == "quantile":
-            return float(np.quantile(pooled, q))
-        raise ValueError(f"statistic must be mean, median or quantile, got {statistic!r}")
+        return float(reducers[statistic](np.log(np.maximum(data[:, columns[a]], LOG_FLOOR))))
 
     label = f"quantile({q})" if statistic == "quantile" else statistic
     return dyadic_block_fit(block_stat, n_lo, n_hi, n_max, label)
@@ -256,16 +240,18 @@ def clt_exponent(gamma: float) -> float:
     return (1.0 - g**2) / 2.0
 
 
-def validate_rescaling(gamma: float, replicas: int, frequencies: int, block_hi_exp: int) -> float:
-    """The rescaling exponent, once gamma, the replica count (at least 100)
-    and the end of the last block (within `frequencies`) are checked."""
+def validate_rescaling(
+    gamma: float, replicas: int, frequencies: int, block_lo_exp: int, block_hi_exp: int
+) -> tuple[float, range]:
+    """The rescaling exponent and the block exponents block_lo_exp..block_hi_exp - 1,
+    once gamma, the replica count (at least 100) and the blocks (at least one,
+    all within `frequencies`) are checked."""
     exponent = clt_exponent(gamma)
     if replicas < 100:
         raise ValueError(f"rescaling profile needs at least 100 replicas, got {replicas}")
-    end = 2**block_hi_exp - 1
-    if end > frequencies:
-        raise ValueError(f"blocks end at {end}, beyond the {frequencies} frequencies")
-    return exponent
+    if min(block_lo_exp, block_hi_exp) < 0:
+        raise ValueError(f"block exponents must be non-negative, got {block_lo_exp}..{block_hi_exp}")
+    return exponent, spectral.dyadic_blocks(2**block_lo_exp, 2**block_hi_exp - 1, frequencies, 1)
 
 
 def rescaled_variance_profile(
@@ -277,13 +263,10 @@ def rescaled_variance_profile(
     replicas (at least 100).  Returns (block_lo, block_hi, variance) for each
     complete dyadic block between the two exponents, averaged over the block.
     """
-    exponent = validate_rescaling(gamma, replicas, len(var), block_hi_exp)
-    out = []
-    for a in range(block_lo_exp, block_hi_exp):
-        lo, hi = 2**a, 2 ** (a + 1)
-        n = np.arange(lo, hi)
-        out.append((lo, hi, float(np.mean(n ** (2.0 * exponent) * var[lo - 1 : hi - 1]))))
-    return out
+    exponent, blocks = validate_rescaling(gamma, replicas, len(var), block_lo_exp, block_hi_exp)
+    rescaled = np.arange(1, len(var) + 1) ** (2.0 * exponent) * var
+    n, columns = spectral.block_frequencies(len(var)), spectral.block_columns(len(var))
+    return [(n[a].start, n[a].stop, float(np.mean(rescaled[columns[a]]))) for a in blocks]
 
 
 def clt_rescale_profile(
@@ -300,8 +283,7 @@ def norm_powers(coefficients, tau: float, p: float, q: float):
     last axis.  The root and the power are taken on the shape given, so a
     1-D row gets numpy's scalar power, a 2-D array its array power."""
     coefficients = np.asarray(coefficients)
-    n = np.arange(1, coefficients.shape[-1] + 1)
-    return spectral.lq_norm(n ** (tau / 2.0) * coefficients, q) ** p
+    return spectral.lq_norm(spectral.decay_weights(coefficients.shape[-1], tau) * coefficients, q) ** p
 
 
 def uniform_bound_probe(
@@ -333,7 +315,7 @@ def write_slope_csv(fit: SlopeFit, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("block_lo,block_hi,stat\n")
         for lo, hi, _x, y in fit.blocks:
-            fh.write(f"{lo:g},{hi:g},{y!r}\n")
+            fh.write(f"{int(lo)},{int(hi)},{y!r}\n")
 
 
 def write_profile_csv(rows, path) -> None:

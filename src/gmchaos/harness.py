@@ -88,11 +88,8 @@ class ExperimentConfig:
         return estimators.find_exponents(self.gamma, self.tau)
 
     def blocks(self) -> list[tuple[int, int]]:
-        """Inclusive ranges [2^a, min(2^(a+1) - 1, n_max)] of the dyadic
-        frequency blocks meeting 1..n_max, indexed by a."""
-        return [
-            (2**a, min(2 ** (a + 1) - 1, self.n_max)) for a in range(int(math.log2(self.n_max)) + 1)
-        ]
+        """First and last frequency of each dyadic block meeting 1..n_max, by exponent."""
+        return [(n.start, n[-1]) for n in spectral.block_frequencies(self.n_max)]
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,7 @@ def _singleton(config: ExperimentConfig, record: ReplicaRecord) -> EnsembleResul
         mass_sq_sum=record.total_mass**2,
         level_sq_sum=record.level_mass_sq.copy(),
         norm_sum=record.norm_powers.copy(),
-        histograms=tuple(LogHistogram.of(log_abs2[lo - 1 : hi]) for lo, hi in config.blocks()),
+        histograms=tuple(LogHistogram.of(log_abs2[c]) for c in spectral.block_columns(config.n_max)),
     )
 
 
@@ -276,6 +273,8 @@ def run_ensemble(
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     lo, hi = replica_range if replica_range is not None else (0, config.replicas)
+    if not 0 <= lo <= hi:
+        raise ValueError(f"replica_range must have 0 <= lo <= hi, got ({lo}, {hi})")
     ids = range(lo, hi)
     if workers is None or workers == 1:
         records = [run_replica(config, i) for i in ids]
@@ -295,9 +294,10 @@ def block_table(result: EnsembleResult) -> list[tuple[int, int, float]]:
     if result.count == 0:
         raise ValueError("empty ensemble has no statistics")
     rows = []
-    for (lo, hi), histogram in zip(result.config.blocks(), result.histograms):
+    blocks = zip(result.config.blocks(), spectral.block_columns(result.config.n_max), result.histograms)
+    for (lo, hi), columns, histogram in blocks:
         if result.config.statistic == "mean":
-            stat = float(np.mean(result.log_abs2_sum[lo - 1 : hi] / result.count))
+            stat = float(np.mean(result.log_abs2_sum[columns] / result.count))
         else:
             stat = histogram.median()
         rows.append((lo, hi, stat))
@@ -310,13 +310,8 @@ def decay_fit_from_result(
     """Decay-slope fit re-derived from the aggregate accumulators."""
     config = result.config
     stats = [stat for _, _, stat in block_table(result)]
-    return estimators.dyadic_block_fit(
-        lambda a: stats[a],
-        8 if n_lo is None else n_lo,
-        config.n_max if n_hi is None else n_hi,
-        config.n_max,
-        config.statistic,
-    )
+    n_lo, n_hi = 8 if n_lo is None else n_lo, config.n_max if n_hi is None else n_hi
+    return estimators.dyadic_block_fit(lambda a: stats[a], n_lo, n_hi, config.n_max, config.statistic)
 
 
 def l2_fit_from_result(result: EnsembleResult) -> estimators.SlopeFit:
@@ -389,6 +384,8 @@ def _decode(data, empty):
         value = tuple(LogHistogram(_int32(h["bins"], low), _int32(h["counts"], 0)) for h in data)
     elif isinstance(empty, np.ndarray):
         value = np.array(data, dtype=float).view(empty.dtype)
+    elif type(data) not in ({int} if type(empty) is int else {int, float}) or data < 0:
+        raise ValueError(f"{data!r} is not a non-negative {type(empty).__name__}")
     else:
         return type(empty)(data)
     if len(value) != len(empty):
@@ -434,4 +431,9 @@ def load_result(path) -> EnsembleResult:
             values[name] = _decode(payload[name], empty)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"archive field {name!r} is malformed: {exc!r}") from exc
+    for a, (n, h) in enumerate(zip(spectral.block_frequencies(config.n_max), values["histograms"])):
+        increasing = h.bins.size == h.counts.size and np.all(np.diff(h.bins) > 0)
+        if not increasing or h.counts.sum() != values["count"] * len(n):
+            why = f"block {a} is not {values['count']} x {len(n)} values in strictly increasing bins"
+            raise ValueError(f"archive field 'histograms' is malformed: {why}")
     return EnsembleResult(config=config, **values)

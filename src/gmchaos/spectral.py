@@ -43,6 +43,39 @@ def _check_n_max(n_max: int, grid: GridSpec) -> int:
     return int(n_max)
 
 
+def decay_weights(n_max: int, tau: float) -> np.ndarray:
+    """The martingale weights n^(tau/2), n = 1..n_max."""
+    return np.arange(1, n_max + 1) ** (tau / 2.0)
+
+
+def _rectangle_rule(values: np.ndarray, n_max: int) -> np.ndarray:
+    """(1/G) sum values * exp(-2 pi i n t) over the G grid values, n = 1..n_max."""
+    return np.fft.fft(values)[1 : n_max + 1] / values.size
+
+
+def block_columns(n_max: int) -> list[slice]:
+    """Columns, in arrays over n = 1..n_max (n in column n - 1), of the dyadic
+    blocks [2^a, 2^(a+1)) meeting 1..n_max, by exponent a; the last is cut at n_max."""
+    return [slice(2**a - 1, min(2 ** (a + 1), n_max + 1) - 1) for a in range(int(n_max).bit_length())]
+
+
+def block_frequencies(n_max: int) -> list[range]:
+    """The frequencies in each of block_columns(n_max)."""
+    return [range(1, n_max + 1)[columns] for columns in block_columns(n_max)]
+
+
+def dyadic_blocks(n_lo: int, n_hi: int, n_max: int, min_blocks: int = 4) -> range:
+    """Exponents a of the complete blocks [2^a, 2^(a+1)) inside [n_lo, n_hi],
+    once n_hi <= n_max and at least `min_blocks` (4 for a slope fit) are checked."""
+    if n_hi > n_max:
+        raise ValueError(f"n_hi = {n_hi} beyond the available {n_max} frequencies")
+    first = max(0, math.ceil(math.log2(max(n_lo, 1))))
+    exponents = range(first, (max(n_hi, 0) + 1).bit_length() - 1)
+    if len(exponents) < min_blocks:
+        raise ValueError(f"need at least {min_blocks} complete dyadic blocks in [{n_lo}, {n_hi}]")
+    return exponents
+
+
 @dataclass(frozen=True)
 class SpectrumVector:
     """Coefficients mu_hat(n), n = 1..n_max, with a decay weight tau."""
@@ -61,7 +94,7 @@ class SpectrumVector:
     @property
     def weighted(self) -> np.ndarray:
         """n^(tau/2) * mu_hat(n)."""
-        return self.frequencies ** (self.tau / 2.0) * self.coefficients
+        return decay_weights(self.n_max, self.tau) * self.coefficients
 
 
 def fourier_coefficients(density: measure.ChaosDensity, n_max: int) -> SpectrumVector:
@@ -71,8 +104,7 @@ def fourier_coefficients(density: measure.ChaosDensity, n_max: int) -> SpectrumV
     degree below the grid size.
     """
     n_max = _check_n_max(n_max, density.grid)
-    coeff = np.fft.fft(density.values)[1 : n_max + 1] / density.grid.size
-    return SpectrumVector(n_max=n_max, coefficients=coeff, tau=0.0)
+    return SpectrumVector(n_max=n_max, coefficients=_rectangle_rule(density.values, n_max), tau=0.0)
 
 
 def martingale_vector(spectrum: SpectrumVector, tau: float) -> SpectrumVector:
@@ -123,12 +155,9 @@ def dyadic_family(level: int, parity: str = "all") -> list[DyadicInterval]:
         raise ValueError(f"parity must be all, odd or even, got {parity!r}")
     if level < 0:
         raise ValueError("level must be non-negative")
-    keep = {
-        "all": lambda h: True,
-        "odd": lambda h: h % 2 == 1,
-        "even": lambda h: h % 2 == 0,
-    }[parity]
-    return [DyadicInterval(level, h) for h in range(1, 2**level + 1) if keep(h)]
+    first = 2 if parity == "even" else 1
+    step = 1 if parity == "all" else 2
+    return [DyadicInterval(level, h) for h in range(first, 2**level + 1, step)]
 
 
 @dataclass(frozen=True)
@@ -168,9 +197,7 @@ def localized_vector(
     i_lo, i_hi = interval.grid_slice(hierarchy.grid)
     masked = np.zeros_like(profile)
     masked[i_lo:i_hi] = profile[i_lo:i_hi]
-    coeff = np.fft.fft(masked)[1 : n_max + 1] / hierarchy.grid.size
-    n = np.arange(1, n_max + 1)
-    return LocalizedVector(interval=interval, values=n ** (tau / 2.0) * coeff, tau=tau)
+    return LocalizedVector(interval, decay_weights(n_max, tau) * _rectangle_rule(masked, n_max), tau)
 
 
 def product_difference_expansion(a, b):
@@ -276,8 +303,7 @@ def separation_bound(
             f"sub-partitions of level {k + max_block - 1} are finer than the grid; "
             f"need level+1+max_block <= {grid.log2_size}"
         )
-    if n_max is None:
-        n_max = min(grid.size // NYQUIST_FRACTION, 2 ** (k + max_block))
+    n_max = grid.size // NYQUIST_FRACTION if n_max is None else n_max
     n_max = min(_check_n_max(n_max, grid), 2 ** (k + max_block))
 
     profile = _centered_profile(hierarchy, gamma, k)
@@ -296,14 +322,9 @@ def separation_bound(
         ) / TWO_PI
 
     n = np.arange(1, n_max + 1)
-    direct_weights = np.zeros((max_block + 1, n_max))
-    abel_weights = np.zeros((max_block, n_max))
-    low = n <= 2**k
-    direct_weights[0, low] = n[low] ** (tau / 2.0)
-    for block in range(1, max_block + 1):
-        band = (n > 2 ** (k + block - 1)) & (n <= 2 ** (k + block))
-        direct_weights[block, band] = n[band] ** (tau / 2.0)
-        abel_weights[block - 1, band] = n[band] ** (tau / 2.0 - 1.0)
+    band = np.arange(max_block + 1)[:, None] == np.searchsorted(2 ** np.arange(k, k + max_block + 1), n)
+    direct_weights = np.where(band, decay_weights(n_max, tau), 0.0)
+    abel_weights = np.where(band[1:], n ** (tau / 2.0 - 1.0), 0.0)
 
     bound = residual @ direct_weights + increments @ abel_weights
     localized = localized_vector(hierarchy, gamma, interval, tau, n_max)

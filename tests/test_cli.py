@@ -209,18 +209,25 @@ def test_clt_rejects_large_gamma(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "reps,block_hi,message",
-    [("60", "6", "at least 100 replicas, got 60"), ("120", "8", "blocks end at 255, beyond the 64")],
+    "flags,message",
+    [
+        (["--reps", "60", "--block-hi", "6"], "at least 100 replicas, got 60"),
+        (["--block-hi", "8"], "n_hi = 255 beyond the available 64 frequencies"),
+        (["--block-lo", "-1", "--block-hi", "6"], "block exponents must be non-negative, got -1..6"),
+        (["--block-lo", "5", "--block-hi", "5"], "need at least 1 complete dyadic blocks in [32, 31]"),
+        (["--block-lo", "6", "--block-hi", "3"], "need at least 1 complete dyadic blocks in [64, 7]"),
+    ],
+    ids=["reps-60", "block-hi-beyond-nmax", "block-lo-negative", "empty-range", "reversed-range"],
 )
-def test_clt_validates_before_sampling(tmp_path, monkeypatch, capsys, reps, block_hi, message):
+def test_clt_validates_before_sampling(tmp_path, monkeypatch, capsys, flags, message):
     ran = []
     monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))
-    assert message in usage_error(
-        capsys,
-        ["clt", "--gamma", "0.4", "--m", "8", "--grid", "1024", "--nmax", "64",
-         "--reps", reps, "--block-hi", block_hi, "--seed", "5", "--out", str(tmp_path / "x.csv")],
-    )
+    out = tmp_path / "x.csv"
+    argv = ["clt", "--gamma", "0.4", "--m", "8", "--grid", "1024", "--nmax", "64",
+            "--reps", "120", "--seed", "5", "--out", str(out)] + flags
+    assert message in usage_error(capsys, argv)
     assert ran == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

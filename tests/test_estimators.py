@@ -260,3 +260,12 @@ def test_slope_and_profile_csv(tmp_path):
     lines = prof_path.read_text().splitlines()
     assert lines[0] == "block_lo,block_hi,variance"
     assert lines[1] == "8,16,0.25"
+
+
+def test_slope_csv_writes_block_bounds_as_integers(tmp_path):
+    n = np.arange(1, 2**21)
+    fit = estimators.decay_slope((n**-0.5)[None, :], 2**16, 2**21 - 1, statistic="mean")
+    path = tmp_path / "slopes.csv"
+    estimators.write_slope_csv(fit, path)
+    bounds = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+    assert bounds == [[str(2**a), str(2 ** (a + 1))] for a in range(16, 21)]

@@ -445,3 +445,47 @@ def test_load_refuses_histogram_values_outside_int32(tmp_path, key, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="archive field 'histograms' is malformed.*outside"):
         harness.load_result(path)
+
+
+def _shuffle_block_bins(payload):
+    bins = payload["histograms"][4]["bins"]
+    bins[0], bins[-1] = bins[-1], bins[0]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_shuffle_block_bins, r"'histograms' is malformed: block 4 is not 2 x 16 values in strictly"),
+        ({"count": 7}, r"'histograms' is malformed: block 0 is not 7 x 1 values"),
+        ({"count": -40}, r"'count' is malformed: ValueError\('-40 is not a non-negative int'\)"),
+        ({"count": "40"}, r"'count' is malformed: ValueError\(\"'40' is not a non-negative int\"\)"),
+        ({"count": 2.5}, r"'count' is malformed: ValueError\('2.5 is not a non-negative int'\)"),
+        ({"count": True}, r"'count' is malformed: ValueError\('True is not a non-negative int'\)"),
+        ({"mass_sum": "39.5"}, r"'mass_sum' is malformed: .*'39.5' is not a non-negative float"),
+    ],
+    ids=["unsorted-bins", "count-7", "count-negative", "count-string", "count-float", "count-bool",
+         "mass-sum-string"],
+)
+def test_load_refuses_malformed_counts_and_histograms(tmp_path, change, message):
+    path = _archive(tmp_path)
+    payload = json.loads(path.read_text())
+    if callable(change):
+        change(payload)
+    else:
+        payload.update(change)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        harness.load_result(path)
+
+
+@pytest.mark.parametrize(
+    "replica_range, message",
+    [((5, 2), r"0 <= lo <= hi, got \(5, 2\)"), ((-2, 1), r"0 <= lo <= hi, got \(-2, 1\)")],
+    ids=["hi-below-lo", "lo-negative"],
+)
+def test_run_ensemble_refuses_bad_replica_range_before_any_replica(monkeypatch, replica_range, message):
+    calls = []
+    monkeypatch.setattr(harness, "run_replica", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        harness.run_ensemble(small_config(), replica_range)
+    assert calls == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmchaos import measure, sampler, spectral
+from gmchaos import estimators, measure, sampler, spectral
 
 COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -328,3 +328,40 @@ def test_separation_json_export(tmp_path, hierarchy):
     assert data["level_k"] == 3
     assert data["all_satisfied"] is True
     assert len(data["bound"]) == len(data["n"])
+
+
+@given(n_max=st.integers(1, 2**14), data=st.data())
+def test_blocks_tile_the_frequency_axis_and_windows_count_complete_blocks(n_max, data):
+    columns = spectral.block_columns(n_max)
+    tiled = np.concatenate([np.arange(n_max)[c] for c in columns])
+    assert tiled.tolist() == list(range(n_max))  # in order, no overlap, no gap
+    for a, (c, n) in enumerate(zip(columns, spectral.block_frequencies(n_max))):
+        assert (n.start, n.stop) == (2**a, min(2 ** (a + 1), n_max + 1)) == (c.start + 1, c.stop + 1)
+    n_hi = data.draw(st.integers(0, n_max))
+    n_lo = data.draw(st.integers(0, n_hi + 1))
+    min_blocks = data.draw(st.integers(0, 5))
+    complete = [a for a in range(16) if n_lo <= 2**a and 2 ** (a + 1) - 1 <= n_hi]
+    if len(complete) < min_blocks:
+        with pytest.raises(ValueError, match=f"at least {min_blocks} complete dyadic blocks"):
+            spectral.dyadic_blocks(n_lo, n_hi, n_max, min_blocks)
+    else:
+        assert list(spectral.dyadic_blocks(n_lo, n_hi, n_max, min_blocks)) == complete
+    with pytest.raises(ValueError, match=f"n_hi = {n_max + 1} beyond"):
+        spectral.dyadic_blocks(n_lo, n_max + 1, n_max, 0)
+
+
+def test_weight_sites_use_the_decay_weights_bitwise(hierarchy):
+    tau, n_max, interval = 0.7, 64, spectral.DyadicInterval(2, 3)
+    weights = spectral.decay_weights(n_max, tau)
+    spec = spectral.fourier_coefficients(measure.chaos_density(hierarchy, 0.5), n_max)
+    weighted = spectral.martingale_vector(spec, tau).weighted
+    assert weighted.tobytes() == (weights * spec.coefficients).tobytes()
+    raw = spectral.localized_vector(hierarchy, 0.5, interval, 0.0, n_max).values  # weights n^0 = 1
+    local = spectral.localized_vector(hierarchy, 0.5, interval, tau, n_max).values
+    assert local.tobytes() == (weights * raw).tobytes()
+    rows = np.stack([spec.coefficients, raw])
+    expected = spectral.lq_norm(weights * rows, 16.0) ** 1.5
+    assert estimators.norm_powers(rows, tau, 1.5, 16.0).tobytes() == expected.tobytes()
+    comp = spectral.separation_bound(hierarchy, 0.5, interval, tau, 3, n_max=n_max)
+    assert np.count_nonzero(comp.direct_weights, axis=0).tolist() == [1] * n_max
+    assert comp.direct_weights.sum(axis=0).tobytes() == weights.tobytes()
