@@ -6,7 +6,7 @@ reduction of its replicas through a fixed pairwise summation tree, so the
 result is byte-identical no matter how the replicas were scheduled.  With
 several workers the replicas run on threads of the calling process: numpy's
 FFTs, normal draws and exp release the interpreter lock, and all threads
-share one embedding cache.
+share the sampler's cache of block filters.
 Aggregates are mergeable: counts and histograms merge exactly, floating
 accumulators merge associatively to rounding.
 
@@ -368,10 +368,19 @@ def _encode(value):
     return value.view(float).tolist() if isinstance(value, np.ndarray) else value
 
 
+def _numbers(values: list, kinds: set, what: str) -> list:
+    """A JSON list whose entries all have a type in `kinds`; a string or a
+    boolean is refused, not converted."""
+    strangers = [v for v in values if type(v) not in kinds]
+    if strangers:
+        raise ValueError(f"entry {strangers[0]!r} is not a JSON {what}")
+    return values
+
+
 def _int32(values, low: int) -> np.ndarray:
     """JSON integers as int32, read through int64 and refused outside
     low..int32 max, so a count never wraps whatever the numpy version."""
-    wide = np.array(values, dtype=np.int64)
+    wide = np.array(_numbers(values, {int}, "integer"), dtype=np.int64)
     if wide.size and (wide.min() < low or wide.max() > np.iinfo(np.int32).max):
         raise ValueError(f"integer outside {low}..{np.iinfo(np.int32).max}")
     return wide.astype(np.int32)
@@ -383,7 +392,7 @@ def _decode(data, empty):
         low = np.iinfo(np.int32).min
         value = tuple(LogHistogram(_int32(h["bins"], low), _int32(h["counts"], 0)) for h in data)
     elif isinstance(empty, np.ndarray):
-        value = np.array(data, dtype=float).view(empty.dtype)
+        value = np.array(_numbers(data, {int, float}, "number"), dtype=float).view(empty.dtype)
     elif type(data) not in ({int} if type(empty) is int else {int, float}) or data < 0:
         raise ValueError(f"{data!r} is not a non-negative {type(empty).__name__}")
     else:
@@ -398,9 +407,9 @@ def export_result(result: EnsembleResult, fmt: str, path) -> None:
     if fmt == "json":
         payload = {"version": VERSION, "config": config_to_dict(result.config)}
         payload.update((name, _encode(getattr(result, name))) for name in FIELDS)
+        text = json.dumps(payload, allow_nan=False)  # NaN and infinity are not JSON
         with open(path, "w") as fh:
-            json.dump(payload, fh, allow_nan=False)  # NaN and infinity are not JSON
-            fh.write("\n")
+            fh.write(text + "\n")
     elif fmt == "csv":
         with open(path, "w", newline="") as fh:
             fh.write("block_lo,block_hi,stat\n")

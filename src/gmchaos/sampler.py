@@ -138,27 +138,23 @@ def embedding_spectrum(seq: np.ndarray, level: int = -1) -> EmbeddingSpectrum:
 
 
 @lru_cache(maxsize=None)
-def _embedding_for(j: int, grid: GridSpec) -> EmbeddingSpectrum:
-    """Level j's embedding, cached.  Threads that race on a missing entry
-    may each compute it; the values are identical and one is kept."""
-    return embedding_spectrum(covariance_sequence(j, grid), level=j)
-
-
-@lru_cache(maxsize=None)
 def _block_root(lo: int, hi: int, grid: GridSpec) -> np.ndarray:
     """Colouring filter of the block lo..hi: the square root of its summed
-    embedding eigenvalues over the period points.  Cached like
-    _embedding_for, with the same benign race between threads."""
-    eigenvalues = np.sum([_embedding_for(j, grid).eigenvalues for j in range(lo, hi + 1)], axis=0)
+    embedding eigenvalues over the period points.  These filters are the
+    sampler's only cache; the level spectra are built here and dropped."""
+    spectra = [embedding_spectrum(covariance_sequence(j, grid), level=j) for j in range(lo, hi + 1)]
+    eigenvalues = np.sum([s.eigenvalues for s in spectra], axis=0)
     return np.sqrt(eigenvalues / (2 * grid.size))
 
 
 def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int) -> np.ndarray:
     root = _block_root(lo, hi, grid)
     gen = rng.field_stream(seed, replica, *((lo,) if lo == hi else (lo, hi)))
-    noise = gen.standard_normal((2, root.size))
-    coloured = np.fft.fft((noise[0] + 1j * noise[1]) * root)
-    return np.ascontiguousarray(coloured.real[: grid.size])
+    # noise[0] + i noise[1], coloured in one array; the noise is freed at once
+    z = np.empty(root.size, dtype=complex)
+    z.real, z.imag = gen.standard_normal((2, root.size))
+    z *= root
+    return np.ascontiguousarray(np.fft.fft(z).real[: grid.size])
 
 
 def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:
@@ -231,6 +227,9 @@ def read_hierarchy(path) -> FieldHierarchy:
         if len(header) < _BINARY_HEADER.size:
             raise ValueError(f"dump {path} is shorter than its {_BINARY_HEADER.size}-byte header")
         size, depth, seed, replica = _BINARY_HEADER.unpack(header)
+        if min(depth, seed, replica) < 0:
+            why = f"depth {depth}, seed {seed}, replica {replica}"
+            raise ValueError(f"dump {path} header has {why}; none may be negative")
         data = np.frombuffer(fh.read(), dtype="<f8").astype(float)
     needed = (depth + 1) * size
     if data.size != needed:

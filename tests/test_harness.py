@@ -433,8 +433,7 @@ def test_export_refuses_non_finite_numbers(tmp_path):
     path = tmp_path / "ensemble.json"
     with pytest.raises(ValueError, match="not JSON compliant"):
         harness.export_result(dataclasses.replace(result, mass_sum=math.nan), "json", path)
-    with pytest.raises(ValueError):
-        harness.load_result(path)  # the file is cut off before the NaN
+    assert not path.exists()  # refused before the file is opened
 
 
 @pytest.mark.parametrize("key, value", [("counts", 2**31), ("counts", -1), ("bins", 2**31)])
@@ -452,6 +451,18 @@ def _shuffle_block_bins(payload):
     bins[0], bins[-1] = bins[-1], bins[0]
 
 
+def _entry(value, *keys):
+    """A change that puts `value` at payload[keys[0]][keys[1]]..."""
+
+    def change(payload):
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return change
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -462,9 +473,16 @@ def _shuffle_block_bins(payload):
         ({"count": 2.5}, r"'count' is malformed: ValueError\('2.5 is not a non-negative int'\)"),
         ({"count": True}, r"'count' is malformed: ValueError\('True is not a non-negative int'\)"),
         ({"mass_sum": "39.5"}, r"'mass_sum' is malformed: .*'39.5' is not a non-negative float"),
+        (_entry("0.81", "abs2_sum", 0), r"'abs2_sum' is malformed: .*entry '0.81' is not a JSON number"),
+        (_entry(True, "abs2_sum", 3), r"'abs2_sum' is malformed: .*entry True is not a JSON number"),
+        (_entry(False, "coeff_sum", 1), r"'coeff_sum' is malformed: .*entry False is not a JSON number"),
+        (_entry("1", "histograms", 0, "counts", 0), r"'histograms' is malformed: .*'1' is not a JSON integer"),
+        (_entry("1", "histograms", 3, "bins", 0), r"'histograms' is malformed: .*'1' is not a JSON integer"),
+        (_entry(True, "histograms", 0, "counts", 0), r"'histograms' is malformed: .*True is not a JSON integer"),
     ],
     ids=["unsorted-bins", "count-7", "count-negative", "count-string", "count-float", "count-bool",
-         "mass-sum-string"],
+         "mass-sum-string", "abs2-sum-string", "abs2-sum-bool", "coeff-sum-bool", "counts-string",
+         "bins-string", "counts-bool"],
 )
 def test_load_refuses_malformed_counts_and_histograms(tmp_path, change, message):
     path = _archive(tmp_path)

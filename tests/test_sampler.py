@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,18 @@ def test_binary_dump_rejects_truncated_payload(tmp_path):
         sampler.read_hierarchy(path)
 
 
+@pytest.mark.parametrize(
+    "header, rows", [((256, -1, 3, 0), 0), ((256, 2, -5, -7), 3)], ids=["depth", "seed-and-replica"]
+)
+def test_binary_dump_refuses_negative_header_fields(tmp_path, header, rows):
+    path = tmp_path / "hierarchy.bin"
+    path.write_bytes(sampler._BINARY_HEADER.pack(*header) + bytes(8 * 256 * rows))
+    _, depth, seed, replica = header
+    expected = f"hierarchy.bin header has depth {depth}, seed {seed}, replica {replica}; none may be"
+    with pytest.raises(ValueError, match=expected):
+        sampler.read_hierarchy(path)
+
+
 def test_binary_dump_rejects_truncated_header(tmp_path):
     path = tmp_path / "hierarchy.bin"
     path.write_bytes(bytes(10))
@@ -198,8 +211,12 @@ def _inline_block_draw(lo, hi, grid, seed, replica):
     return coloured.real[: grid.size]
 
 
-def test_level_streams_are_bit_identical_to_the_level_formula():
-    grid = sampler.GridSpec(128)
+@pytest.mark.parametrize("log2_size", range(1, 17))
+def test_level_streams_are_bit_identical_to_the_level_formula(log2_size):
+    grid = sampler.GridSpec(2**log2_size)
+    # level 0's periodized triangle has clamped zero eigenvalues, where a
+    # signed-zero difference in the colouring would show first
+    assert np.any(sampler._block_root(0, 0, grid) == 0.0)
     for j in (0, 3, 6):
         row = sampler.sample_level(j, grid, seed=8, replica=5)
         assert row.tobytes() == _inline_block_draw(j, j, grid, 8, 5).tobytes()
@@ -210,6 +227,23 @@ def test_level_streams_are_bit_identical_to_the_level_formula():
     blocks = sampler.sample_blocks((1, 2, 6), grid, seed=8, replica=5)
     assert blocks.samples[1].tobytes() == rows[2].tobytes()
     assert blocks.samples[2].tobytes() == _inline_block_draw(3, 6, grid, 8, 5).tobytes()
+
+
+def test_sampler_retains_only_the_block_filters():
+    grid = sampler.GridSpec(2**12)
+    for n in (grid.size, 2 * grid.size):  # numpy's FFT plans are not the sampler's
+        np.fft.fft(np.ones(n, dtype=complex))
+    sampler.sample_level(0, sampler.GridSpec(2), 0)  # nor is numpy.random's lazy import
+    sampler._block_root.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sampler.sample_blocks((3, 6, 12), grid, 1, 0)  # the fields are dropped at once
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sampler._block_root.cache_info().currsize == 3
+    assert retained <= 3 * 2 * grid.size * 8 + 16 * 1024, retained
 
 
 def test_block_eigenvalues_match_cumulative_covariance():
