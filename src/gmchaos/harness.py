@@ -70,8 +70,11 @@ class ExperimentConfig:
         spectral._check_tau(self.tau)
         if self.statistic not in ("mean", "median"):
             raise ValueError(f"statistic must be mean or median, got {self.statistic!r}")
-        object.__setattr__(self, "norm_depths", tuple(int(d) for d in self.norm_depths))
-        object.__setattr__(self, "mass_levels", tuple(int(v) for v in self.mass_levels))
+        for name in ("norm_depths", "mass_levels"):
+            values = tuple(int(v) for v in getattr(self, name))
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name.replace('_', ' ')} must not repeat, got {values}")
+            object.__setattr__(self, name, values)
         if any(not 0 <= d <= self.depth for d in self.norm_depths):
             raise ValueError("norm depths must lie within the construction depth")
         if any(not 0 <= v <= grid.log2_size for v in self.mass_levels):
@@ -110,6 +113,11 @@ class LogHistogram:
     `bins` holds the occupied bin ids floor(BINS_PER_UNIT * value) in
     increasing order, `counts` their counts, both int32: an ensemble's
     aggregates are held in memory for its whole run.
+
+    `+` concatenates the two sorted bin lists, orders them with a stable
+    argsort (linear on two sorted runs) and sums each run of equal bins.
+    Integer counts do not depend on the order they are added in, so the
+    merge is exact, commutative and associative.
     """
 
     bins: np.ndarray
@@ -118,16 +126,25 @@ class LogHistogram:
     @staticmethod
     def of(log_values: np.ndarray) -> "LogHistogram":
         ids = np.floor(BINS_PER_UNIT * log_values).astype(np.int32)
-        bins, counts = np.unique(ids, return_counts=True)
-        return LogHistogram(bins, counts.astype(np.int32))
+        ids.sort()
+        return LogHistogram._summed(ids, np.ones(ids.size, dtype=np.int64))
 
     def __add__(self, other: "LogHistogram") -> "LogHistogram":
-        bins, slot = np.unique(np.concatenate([self.bins, other.bins]), return_inverse=True)
-        counts = np.zeros(bins.size, dtype=np.int64)
-        np.add.at(counts, slot, np.concatenate([self.counts, other.counts]))
-        if counts.max(initial=0) > np.iinfo(np.int32).max:
+        ids = np.concatenate([self.bins, other.bins])
+        order = np.argsort(ids, kind="stable")
+        return LogHistogram._summed(ids[order], np.concatenate([self.counts, other.counts])[order])
+
+    @staticmethod
+    def _summed(ids: np.ndarray, counts: np.ndarray) -> "LogHistogram":
+        """Sorted bin ids and their counts as a histogram, one bin per run of equal ids."""
+        first = np.empty(ids.size, dtype=bool)  # where a run of equal ids starts
+        first[:1] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        summed = np.add.reduceat(counts.astype(np.int64, copy=False), starts)
+        if summed.max(initial=0) > np.iinfo(np.int32).max:
             raise OverflowError("merged histogram count does not fit int32")
-        return LogHistogram(bins, counts.astype(np.int32))
+        return LogHistogram(ids[starts], summed.astype(np.int32))
 
     def median(self) -> float:
         """Midpoint of the bin holding the middle order statistic; for an
@@ -407,9 +424,11 @@ def export_result(result: EnsembleResult, fmt: str, path) -> None:
     if fmt == "json":
         payload = {"version": VERSION, "config": config_to_dict(result.config)}
         payload.update((name, _encode(getattr(result, name))) for name in FIELDS)
-        text = json.dumps(payload, allow_nan=False)  # NaN and infinity are not JSON
+        encode = json.JSONEncoder(allow_nan=False).encode  # NaN and infinity are not JSON
+        # Field by field, as json.dumps writes them: no chunk list spans the whole archive.
+        pieces = [f"{encode(key)}: {encode(value)}" for key, value in payload.items()]
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write("{" + ", ".join(pieces) + "}\n")
     elif fmt == "csv":
         with open(path, "w", newline="") as fh:
             fh.write("block_lo,block_hi,stat\n")

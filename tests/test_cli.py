@@ -196,6 +196,23 @@ def usage_error(capsys, argv) -> str:
     return lines[-1]
 
 
+@pytest.mark.parametrize("key, values, message", [
+    ("norm_depths", [5, 5, 7], r"norm depths must not repeat, got \(5, 5, 7\)"),
+    ("mass_levels", [2, 2, 3], r"mass levels must not repeat, got \(2, 2, 3\)"),
+])
+def test_report_refuses_repeated_depths_and_levels(tmp_path, capsys, key, values, message):
+    config = harness.ExperimentConfig(gamma=0.5, depth=7, grid_size=256, n_max=32, tau=0.5,
+                                      replicas=2, seed=41)
+    archive = tmp_path / "ens.json"
+    harness.export_result(harness.run_ensemble(config), "json", archive)
+    payload = json.loads(archive.read_text())
+    payload["config"][key] = values
+    archive.write_text(json.dumps(payload))
+    error = usage_error(capsys, ["report", "--in", str(archive), "--out", str(tmp_path / "r")])
+    assert re.search(message, error)
+    assert not (tmp_path / "r").exists()
+
+
 def test_clt_rejects_large_gamma(tmp_path, monkeypatch, capsys):
     ran = []
     monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))

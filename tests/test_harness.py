@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gmchaos import estimators, harness, measure, rng, sampler, spectral
@@ -54,6 +54,10 @@ def test_config_validation():
         small_config(norm_depths=(9,))
     with pytest.raises(ValueError):
         small_config(mass_levels=(12,))
+    with pytest.raises(ValueError, match=r"norm depths must not repeat, got \(5, 5, 7\)"):
+        small_config(norm_depths=(5, 5, 7))
+    with pytest.raises(ValueError, match=r"mass levels must not repeat, got \(2, 2, 3\)"):
+        small_config(mass_levels=(2, 2, 3))
     with pytest.raises(ValueError):
         small_config(tau=1.0)
     with pytest.raises(estimators.NoFeasibleExponentsError):
@@ -168,6 +172,29 @@ def test_archive_export_load_export_is_byte_identical(gamma, seed, replicas, sta
         assert first.read_bytes() == second.read_bytes()
 
 
+@given(
+    seed=st.integers(0, 2**32),
+    replicas=st.integers(1, 4),
+    statistic=st.sampled_from(["mean", "median"]),
+    mass_sum=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_archive_bytes_are_json_dumps_of_the_payload(seed, replicas, statistic, mass_sum):
+    config = harness.ExperimentConfig(**{**TINY, "seed": seed, "replicas": replicas, "statistic": statistic})
+    result = dataclasses.replace(harness.run_ensemble(config), mass_sum=mass_sum)
+    payload = {"version": harness.VERSION, "config": dataclasses.asdict(config)}
+    for name in harness.FIELDS:
+        value = getattr(result, name)
+        if isinstance(value, tuple):
+            value = [{"bins": h.bins.tolist(), "counts": h.counts.tolist()} for h in value]
+        elif isinstance(value, np.ndarray):
+            value = value.view(float).tolist()  # complex as interleaved (re, im)
+        payload[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ensemble.json"
+        harness.export_result(result, "json", path)
+        assert path.read_bytes() == (json.dumps(payload, allow_nan=False) + "\n").encode()
+
+
 def test_merge_rejects_config_mismatch():
     a = harness.run_ensemble(small_config(replicas=2))
     b = harness.run_ensemble(small_config(replicas=2, seed=42))
@@ -257,6 +284,75 @@ def test_histograms_are_int32_and_refuse_overflow(tmp_path):
     assert (full + harness.LogHistogram(one.bins[1:], one.counts[1:])).counts.tolist() == [top, 1]
     with pytest.raises(OverflowError):
         full + one
+
+
+FLOOR = math.log(estimators.LOG_FLOOR)  # its bin is -176,839
+LOG_VALUES = st.lists(
+    st.one_of(st.floats(-40.0, 40.0), st.sampled_from([FLOOR, 0.0, 1 / 256, -1 / 256])),
+    max_size=40,
+)
+
+
+@given(x=LOG_VALUES, y=LOG_VALUES)
+@example(x=[], y=[])
+@example(x=[0.3] * 7, y=[])
+@example(x=[], y=[-2.5] * 3)
+@example(x=[1.25] * 5, y=[1.25] * 4)
+@example(x=[FLOOR] * 3, y=[FLOOR, 0.0])
+def test_histogram_sum_counts_every_bin_like_unique(x, y):
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    a, b = harness.LogHistogram.of(x), harness.LogHistogram.of(y)
+    for merged, values in ((a + b, [x, y]), (a + b + a, [x, y, x]), (b + (a + b), [y, x, y])):
+        bins, counts = np.unique(np.floor(256 * np.concatenate(values)), return_counts=True)
+        assert merged.bins.tolist() == bins.tolist()
+        assert merged.counts.tolist() == counts.tolist()
+        for histogram in (a, b, merged):
+            assert histogram.bins.dtype == histogram.counts.dtype == np.int32
+    assert harness.LogHistogram.of(np.array([FLOOR])).bins.tolist() == [-176839]
+
+
+def _reference_of(log_values):
+    ids = np.floor(harness.BINS_PER_UNIT * log_values).astype(np.int32)
+    bins, counts = np.unique(ids, return_counts=True)
+    return harness.LogHistogram(bins, counts.astype(np.int32))
+
+
+def _reference_add(a, b):
+    bins, slot = np.unique(np.concatenate([a.bins, b.bins]), return_inverse=True)
+    counts = np.zeros(bins.size, dtype=np.int64)
+    np.add.at(counts, slot, np.concatenate([a.counts, b.counts]))
+    return harness.LogHistogram(bins, counts.astype(np.int32))
+
+
+def _reference_merge(a, b):
+    sums = {name: getattr(a, name) + getattr(b, name) for name in harness.FIELDS if name != "histograms"}
+    return dataclasses.replace(a, **sums, histograms=tuple(map(_reference_add, a.histograms, b.histograms)))
+
+
+def _reference_ensemble(config, lo, hi):
+    """run_ensemble's fixed pairwise tree, with histograms built and merged by
+    np.unique and np.add.at."""
+    items, columns = [], spectral.block_columns(config.n_max)
+    for i in range(lo, hi):
+        single = harness._singleton(config, harness.run_replica(config, i))
+        histograms = tuple(_reference_of(single.log_abs2_sum[c]) for c in columns)
+        items.append(dataclasses.replace(single, histograms=histograms))
+    while len(items) > 1:
+        items = [
+            _reference_merge(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
+            for i in range(0, len(items), 2)
+        ]
+    return items[0]
+
+
+@pytest.mark.parametrize("statistic", ["mean", "median"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("lo, hi", [(0, 1), (0, 2), (0, 3), (0, 8), (0, 13), (5, 18)])
+def test_run_ensemble_bytes_match_the_unique_and_add_at_reference(tmp_path, statistic, workers, lo, hi):
+    config = small_config(replicas=hi, statistic=statistic)
+    harness.export_result(harness.run_ensemble(config, (lo, hi), workers), "json", tmp_path / "run.json")
+    harness.export_result(_reference_ensemble(config, lo, hi), "json", tmp_path / "reference.json")
+    assert (tmp_path / "run.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
 
 def test_run_replica_draws_one_field_per_read_depth(monkeypatch):
