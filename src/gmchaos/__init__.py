@@ -46,7 +46,6 @@ from .harness import (
     run_replica,
 )
 from .measure import (
-    ChaosDensity,
     chaos_density,
     dyadic_masses,
     frostman_scan,
@@ -60,7 +59,6 @@ from .measure import (
     write_density_csv,
 )
 from .sampler import (
-    EmbeddingSpectrum,
     FieldHierarchy,
     GridSpec,
     NotEmbeddableError,
@@ -74,15 +72,12 @@ from .sampler import (
 )
 from .spectral import (
     DyadicInterval,
-    LocalizedVector,
     SeparationComponents,
-    SpectrumVector,
     abel_segment_transform,
     dyadic_family,
     fourier_coefficients,
     localized_vector,
     lq_norm,
-    martingale_vector,
     product_difference_expansion,
     segment_integral,
     separation_bound,

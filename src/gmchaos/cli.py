@@ -24,7 +24,7 @@ from .sampler import GridSpec, covariance_sequence, embedding_spectrum, sample_h
 
 def _config_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
     """The flags a key = value config file stands for: `fit_lo = 16` (or
-    `fit-lo = 16`) becomes `--fit-lo=16`."""
+    `fit-lo = 16`) becomes `--fit-lo=16`.  Config files do not nest."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -37,7 +37,10 @@ def _config_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
         if "=" not in line:
             parser.error(f"config line {raw!r} is not key=value")
         key, value = line.split("=", 1)
-        argv.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+        key = key.strip().replace("_", "-")
+        if key == "config":
+            parser.error(f"config line {raw!r} names a config file; config files do not nest")
+        argv.append(f"--{key}={value.strip()}")
     return argv
 
 
@@ -86,7 +89,7 @@ def _check_embedding() -> str:
     for j in range(5):
         grid = GridSpec(64)
         seq = covariance_sequence(j, grid)
-        eig = embedding_spectrum(seq, level=j).eigenvalues
+        eig = embedding_spectrum(seq)
         implied = np.fft.ifft(eig).real
         worst = max(worst, float(np.max(np.abs(implied - seq))))
     if worst > 1e-10:
@@ -142,12 +145,12 @@ def _check_decomposition(seed: int) -> str:
     gamma, tau, n_max = 0.6, 0.4, 64
     weights = spectral.decay_weights(n_max, tau)
     densities = [measure.chaos_density(hierarchy, gamma, k) for k in range(7)]
-    weighted = [weights * spectral.fourier_coefficients(d, n_max).coefficients for d in densities]
+    weighted = [weights * spectral.fourier_coefficients(d, n_max) for d in densities]
     worst = 0.0
     for k in range(1, 7):
         total = np.zeros(n_max, dtype=complex)
         for interval in spectral.dyadic_family(k - 1):
-            total += spectral.localized_vector(hierarchy, gamma, interval, tau, n_max).values
+            total += spectral.localized_vector(hierarchy, gamma, interval, tau, n_max)
         worst = max(worst, float(np.max(np.abs(total - (weighted[k] - weighted[k - 1])))))
     if worst > 1e-10:
         raise AssertionError(f"increment decomposition defect {worst:.2e}")

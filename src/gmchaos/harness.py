@@ -55,6 +55,12 @@ class ExperimentConfig:
     mass_levels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("depth", "grid_size", "n_max", "replicas", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("gamma", "tau"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         measure.validate_gamma(self.gamma)
         grid = GridSpec(self.grid_size)  # validates power of two
         spectral._check_n_max(self.n_max, grid)
@@ -71,7 +77,10 @@ class ExperimentConfig:
         if self.statistic not in ("mean", "median"):
             raise ValueError(f"statistic must be mean or median, got {self.statistic!r}")
         for name in ("norm_depths", "mass_levels"):
-            values = tuple(int(v) for v in getattr(self, name))
+            entries = getattr(self, name)
+            if not np.iterable(entries):
+                raise ValueError(f"{name} must be a sequence of integers, got {entries!r}")
+            values = tuple(_integer(v, f"{name} entry") for v in entries)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name.replace('_', ' ')} must not repeat, got {values}")
             object.__setattr__(self, name, values)
@@ -93,6 +102,13 @@ class ExperimentConfig:
     def blocks(self) -> list[tuple[int, int]]:
         """First and last frequency of each dyadic block meeting 1..n_max, by exponent."""
         return [(n.start, n[-1]) for n in spectral.block_frequencies(self.n_max)]
+
+
+def _integer(value, name: str) -> int:
+    """A Python or numpy integer as int; a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -219,18 +235,17 @@ def run_replica(config: ExperimentConfig, replica_id: int) -> ReplicaRecord:
     depths = sorted({*config.norm_depths, config.depth})
     hierarchy = sample_blocks(depths, config.grid, config.seed, replica_id)
     density = measure.chaos_density(hierarchy, config.gamma)
-    spectrum = spectral.fourier_coefficients(density, config.n_max)
     plan = config.exponents()
     norms = np.zeros(len(config.norm_depths))
     if plan is not None:
         for i, depth in enumerate(config.norm_depths):
             part = measure.chaos_density(hierarchy, config.gamma, depth=depth)
-            coefficients = spectral.fourier_coefficients(part, config.n_max).coefficients
+            coefficients = spectral.fourier_coefficients(part, config.n_max)
             norms[i] = estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
     return ReplicaRecord(
         replica=int(replica_id),
-        coefficients=spectrum.coefficients,
-        total_mass=float(density.values.mean()),
+        coefficients=spectral.fourier_coefficients(density, config.n_max),
+        total_mass=float(density.mean()),
         level_mass_sq=measure.l2_sums(density, config.mass_levels),
         norm_powers=norms,
     )
@@ -374,6 +389,8 @@ def _check_keys(data: dict, expected, what: str) -> None:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {data!r}")
     _check_keys(data, [f.name for f in fields(ExperimentConfig)], "config")
     return ExperimentConfig(**data)
 
@@ -452,7 +469,10 @@ def load_result(path) -> EnsembleResult:
     if version != VERSION:
         raise ValueError(f"archive version {version!r} is not this library's {VERSION!r}")
     _check_keys(payload, ("version", "config", *FIELDS), "archive")
-    config = config_from_dict(payload["config"])
+    try:
+        config = config_from_dict(payload["config"])
+    except ValueError as exc:
+        raise ValueError(f"archive field 'config' is malformed: {exc}") from exc
     values = {}
     for name, empty in _accumulators(config).items():
         try:

@@ -2,7 +2,8 @@
 
 The depth-m density is the product over levels j <= m of
 exp(gamma * field_j - gamma^2/2 * var_j); each factor has unit mean, so the
-density is a positive unit-mean martingale in the depth.  Measure queries
+density is a positive unit-mean martingale in the depth.  A density is the
+array of its grid values, on the grid GridSpec(values.size).  Measure queries
 (interval masses, dyadic scans) use the left-endpoint rectangle rule, which
 makes dyadic additivity and the spectral decomposition identities exact at
 grid level.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,21 +44,6 @@ def validate_gamma(gamma: float, bound: tuple[bool, float, str] = SUBCRITICAL) -
     return g
 
 
-@dataclass(frozen=True)
-class ChaosDensity:
-    """Grid samples of the depth-m approximate chaos density for one gamma."""
-
-    grid: GridSpec
-    gamma: float
-    depth: int
-    values: np.ndarray
-    seed: int
-    replica: int
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-
 def weight_field(hierarchy: FieldHierarchy, j: int, gamma: float) -> np.ndarray:
     """Unit-mean multiplicative weight of level j on the grid."""
     validate_gamma(gamma)
@@ -66,9 +51,9 @@ def weight_field(hierarchy: FieldHierarchy, j: int, gamma: float) -> np.ndarray:
     return np.exp(gamma * row - 0.5 * gamma**2 * hierarchy.variances[j])
 
 
-def chaos_density(hierarchy: FieldHierarchy, gamma: float, depth: int | None = None) -> ChaosDensity:
-    """Product of the level weights up to `depth` (default: full hierarchy),
-    which must be one of the hierarchy's breaks.
+def chaos_density(hierarchy: FieldHierarchy, gamma: float, depth: int | None = None) -> np.ndarray:
+    """Grid values of the product of the level weights up to `depth`
+    (default: full hierarchy), which must be one of the hierarchy's breaks.
 
     The exponent is accumulated across rows and exponentiated once, so
     deep or large-gamma products cannot overflow factor by factor.
@@ -82,14 +67,7 @@ def chaos_density(hierarchy: FieldHierarchy, gamma: float, depth: int | None = N
     rows = hierarchy.samples[: last + 1]
     variances = hierarchy.variances[: last + 1]
     exponent = gamma * rows.sum(axis=0) - 0.5 * gamma**2 * variances.sum()
-    return ChaosDensity(
-        grid=hierarchy.grid,
-        gamma=float(gamma),
-        depth=int(depth),
-        values=np.exp(exponent),
-        seed=hierarchy.seed,
-        replica=hierarchy.replica,
-    )
+    return np.exp(exponent)
 
 
 def _grid_index(x: float, grid: GridSpec) -> int:
@@ -100,30 +78,31 @@ def _grid_index(x: float, grid: GridSpec) -> int:
     return idx
 
 
-def interval_mass(density: ChaosDensity, interval: tuple[float, float]) -> float:
+def interval_mass(density: np.ndarray, interval: tuple[float, float]) -> float:
     """Rectangle-rule mass of a grid-aligned interval [a, b) in [0, 1]."""
+    grid = GridSpec(density.size)
     a, b = interval
     if not 0.0 <= a <= b <= 1.0:
         raise ValueError(f"interval {interval!r} must satisfy 0 <= a <= b <= 1")
-    ia = _grid_index(a, density.grid)
-    ib = _grid_index(b, density.grid)
-    return float(density.values[ia:ib].sum()) / density.grid.size
+    ia = _grid_index(a, grid)
+    ib = _grid_index(b, grid)
+    return float(density[ia:ib].sum()) / grid.size
 
 
-def dyadic_masses(density: ChaosDensity, level: int) -> np.ndarray:
+def dyadic_masses(density: np.ndarray, level: int) -> np.ndarray:
     """Masses of the 2^level dyadic intervals, left to right."""
-    g = density.grid.log2_size
-    if not 0 <= level <= g:
-        raise ValueError(f"dyadic level {level} outside 0..{g}")
-    return density.values.reshape(2**level, -1).sum(axis=1) / density.grid.size
+    grid = GridSpec(density.size)
+    if not 0 <= level <= grid.log2_size:
+        raise ValueError(f"dyadic level {level} outside 0..{grid.log2_size}")
+    return density.reshape(2**level, -1).sum(axis=1) / grid.size
 
 
-def l2_sums(density: ChaosDensity, levels) -> np.ndarray:
+def l2_sums(density: np.ndarray, levels) -> np.ndarray:
     """Sum of squared dyadic masses at each level."""
     return np.array([float(np.sum(dyadic_masses(density, lv) ** 2)) for lv in levels])
 
 
-def frostman_scan(density: ChaosDensity, alpha: float, levels) -> np.ndarray:
+def frostman_scan(density: np.ndarray, alpha: float, levels) -> np.ndarray:
     """Per-level sup over dyadic intervals of mass(I) / |I|^alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
@@ -200,11 +179,11 @@ def holder_moment_quadrature(gamma: float, j: int, p: float, h: float, order: in
     return float(np.sum(w2 * _holder_ratio(gamma, j, p, h, pair)))
 
 
-def write_density_csv(density: ChaosDensity, path) -> None:
+def write_density_csv(density: np.ndarray, path) -> None:
     """CSV dump with columns (i, t, value), one row per grid point."""
-    times = density.grid.times()
+    times = GridSpec(density.size).times()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "t", "value"])
-        for i, (t, v) in enumerate(zip(times, density.values)):
+        for i, (t, v) in enumerate(zip(times, density)):
             writer.writerow([i, repr(float(t)), repr(float(v))])

@@ -4,7 +4,8 @@ Each level field is stationary with a compactly supported closed-form
 covariance (see :mod:`gmchaos.geometry`), so it can be sampled exactly on a
 uniform grid of [0, 1) by circulant embedding: periodize the covariance
 with period 2 (twice the unit interval, so supports never wrap), take the
-DFT to get the embedding eigenvalues, colour complex white noise and keep
+DFT to get the embedding eigenvalues (:func:`embedding_spectrum` returns
+them as an array), colour complex white noise and keep
 the real part on the first half of the circle.  The periodized sequence is
 positive semidefinite in exact arithmetic; tiny negative eigenvalues from
 round-off are clamped, anything larger is treated as a formula bug.
@@ -61,15 +62,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class EmbeddingSpectrum:
-    """DFT eigenvalues of the period-2 covariance periodization."""
-
-    level: int
-    period_points: int
-    eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
 class FieldHierarchy:
     """Blocks of levels 0..depth of the field sampled on one grid, one replica.
 
@@ -117,8 +109,9 @@ def covariance_sequence(j: int, grid: GridSpec) -> np.ndarray:
     return geometry.level_covariance(j, lags)
 
 
-def embedding_spectrum(seq: np.ndarray, level: int = -1) -> EmbeddingSpectrum:
-    """Eigenvalues (real DFT) of an even-length symmetric covariance sequence."""
+def embedding_spectrum(seq: np.ndarray) -> np.ndarray:
+    """Eigenvalues (real DFT) of an even-length symmetric covariance sequence,
+    round-off negatives clamped to zero."""
     seq = np.asarray(seq, dtype=float)
     n = seq.size
     if n % 2:
@@ -134,7 +127,7 @@ def embedding_spectrum(seq: np.ndarray, level: int = -1) -> EmbeddingSpectrum:
             f"embedding eigenvalue {worst:.3e} below clamp {floor:.3e}; "
             "the covariance sequence is not positive semidefinite"
         )
-    return EmbeddingSpectrum(level=level, period_points=n, eigenvalues=np.maximum(eig, 0.0))
+    return np.maximum(eig, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +135,8 @@ def _block_root(lo: int, hi: int, grid: GridSpec) -> np.ndarray:
     """Colouring filter of the block lo..hi: the square root of its summed
     embedding eigenvalues over the period points.  These filters are the
     sampler's only cache; the level spectra are built here and dropped."""
-    spectra = [embedding_spectrum(covariance_sequence(j, grid), level=j) for j in range(lo, hi + 1)]
-    eigenvalues = np.sum([s.eigenvalues for s in spectra], axis=0)
+    spectra = [embedding_spectrum(covariance_sequence(j, grid)) for j in range(lo, hi + 1)]
+    eigenvalues = np.sum(spectra, axis=0)
     return np.sqrt(eigenvalues / (2 * grid.size))
 
 

@@ -1,13 +1,15 @@
 """Fourier coefficients of chaos densities and their martingale structure.
 
-The coefficient vector of the depth-m density, weighted by n^(tau/2), is a
-martingale in the depth m.  Its increments split over the dyadic intervals
-of matching generation into localized contributions, computed here with the
-same left-endpoint rectangle rule as the global coefficients so that the
-split is exact at grid level.  The module also provides the Abel
-(summation-by-parts) transform of segment sums and a pathwise
-separation-of-variable bound on each localized contribution, with the bound
-split into deterministic frequency weights and pathwise scalars.
+Densities and coefficient vectors are plain arrays.  The coefficient
+vector of the depth-m density, weighted by n^(tau/2), is a martingale in
+the depth m: decay_weights(n_max, tau) * fourier_coefficients(density, n_max).
+Its increments split over the dyadic intervals of matching generation into
+localized contributions, computed here with the same left-endpoint
+rectangle rule as the global coefficients so that the split is exact at
+grid level.  The module also provides the Abel (summation-by-parts)
+transform of segment sums and a pathwise separation-of-variable bound on
+each localized contribution, with the bound split into deterministic
+frequency weights and pathwise scalars.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ def decay_weights(n_max: int, tau: float) -> np.ndarray:
     return np.arange(1, n_max + 1) ** (tau / 2.0)
 
 
-def _rectangle_rule(values: np.ndarray, n_max: int) -> np.ndarray:
-    """(1/G) sum values * exp(-2 pi i n t) over the G grid values, n = 1..n_max."""
-    return np.fft.fft(values)[1 : n_max + 1] / values.size
-
-
 def block_columns(n_max: int) -> list[slice]:
     """Columns, in arrays over n = 1..n_max (n in column n - 1), of the dyadic
     blocks [2^a, 2^(a+1)) meeting 1..n_max, by exponent a; the last is cut at n_max."""
@@ -76,40 +73,15 @@ def dyadic_blocks(n_lo: int, n_hi: int, n_max: int, min_blocks: int = 4) -> rang
     return exponents
 
 
-@dataclass(frozen=True)
-class SpectrumVector:
-    """Coefficients mu_hat(n), n = 1..n_max, with a decay weight tau."""
-
-    n_max: int
-    coefficients: np.ndarray
-    tau: float
-
-    def __post_init__(self) -> None:
-        self.coefficients.setflags(write=False)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(1, self.n_max + 1)
-
-    @property
-    def weighted(self) -> np.ndarray:
-        """n^(tau/2) * mu_hat(n)."""
-        return decay_weights(self.n_max, self.tau) * self.coefficients
-
-
-def fourier_coefficients(density: measure.ChaosDensity, n_max: int) -> SpectrumVector:
-    """Rectangle-rule coefficients (1/G) sum values * exp(-2 pi i n t).
+def fourier_coefficients(density: np.ndarray, n_max: int) -> np.ndarray:
+    """Rectangle-rule coefficients mu_hat(n) = (1/G) sum values * exp(-2 pi i n t)
+    of the G grid values, n = 1..n_max.
 
     One FFT of the grid values; exact for trigonometric polynomials of
     degree below the grid size.
     """
-    n_max = _check_n_max(n_max, density.grid)
-    return SpectrumVector(n_max=n_max, coefficients=_rectangle_rule(density.values, n_max), tau=0.0)
-
-
-def martingale_vector(spectrum: SpectrumVector, tau: float) -> SpectrumVector:
-    """Re-weight a coefficient vector with the decay exponent tau."""
-    return SpectrumVector(n_max=spectrum.n_max, coefficients=spectrum.coefficients, tau=_check_tau(tau))
+    n_max = _check_n_max(n_max, GridSpec(density.size))
+    return np.fft.fft(density)[1 : n_max + 1] / density.size
 
 
 def lq_norm(values, q: float):
@@ -160,23 +132,11 @@ def dyadic_family(level: int, parity: str = "all") -> list[DyadicInterval]:
     return [DyadicInterval(level, h) for h in range(first, 2**level + 1, step)]
 
 
-@dataclass(frozen=True)
-class LocalizedVector:
-    """Contribution of one dyadic interval to a martingale increment."""
-
-    interval: DyadicInterval
-    values: np.ndarray
-    tau: float
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-
 def _centered_profile(hierarchy: FieldHierarchy, gamma: float, k: int) -> np.ndarray:
     """Product of the weights below level k times the centered level-k weight."""
     if not 1 <= k <= hierarchy.depth:
         raise ValueError(f"level {k} outside 1..{hierarchy.depth}")
-    prefix = measure.chaos_density(hierarchy, gamma, depth=k - 1).values
+    prefix = measure.chaos_density(hierarchy, gamma, depth=k - 1)
     top = measure.weight_field(hierarchy, k, gamma)
     return prefix * (top - 1.0)
 
@@ -187,9 +147,10 @@ def localized_vector(
     interval: DyadicInterval,
     tau: float,
     n_max: int,
-) -> LocalizedVector:
-    """Rectangle-rule coefficients of the centered profile restricted to one
-    dyadic interval of the generation below the centered level."""
+) -> np.ndarray:
+    """n^(tau/2) times the rectangle-rule coefficients of the centered profile
+    restricted to one dyadic interval of the generation below the centered
+    level: that interval's contribution to the martingale increment."""
     tau = _check_tau(tau)
     n_max = _check_n_max(n_max, hierarchy.grid)
     k = interval.level + 1
@@ -197,7 +158,7 @@ def localized_vector(
     i_lo, i_hi = interval.grid_slice(hierarchy.grid)
     masked = np.zeros_like(profile)
     masked[i_lo:i_hi] = profile[i_lo:i_hi]
-    return LocalizedVector(interval, decay_weights(n_max, tau) * _rectangle_rule(masked, n_max), tau)
+    return decay_weights(n_max, tau) * fourier_coefficients(masked, n_max)
 
 
 def product_difference_expansion(a, b):
@@ -327,8 +288,7 @@ def separation_bound(
     abel_weights = np.where(band[1:], n ** (tau / 2.0 - 1.0), 0.0)
 
     bound = residual @ direct_weights + increments @ abel_weights
-    localized = localized_vector(hierarchy, gamma, interval, tau, n_max)
-    y_abs = np.abs(localized.values)
+    y_abs = np.abs(localized_vector(hierarchy, gamma, interval, tau, n_max))
     return SeparationComponents(
         level_k=k,
         max_block=max_block,
@@ -345,13 +305,14 @@ def separation_bound(
     )
 
 
-def write_spectrum_csv(spectrum: SpectrumVector, path) -> None:
-    """CSV dump with columns (n, re, im, abs2, weighted_abs)."""
-    weighted = np.abs(spectrum.weighted)
+def write_spectrum_csv(coefficients: np.ndarray, path) -> None:
+    """CSV dump with columns (n, re, im, abs2, weighted_abs) of mu_hat(n),
+    n = 1..n_max; weighted_abs is |mu_hat(n)| (the weight n^0 = 1 of tau 0),
+    from numpy's vectorised modulus."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "re", "im", "abs2", "weighted_abs"])
-        for n, c, w in zip(spectrum.frequencies, spectrum.coefficients, weighted):
+        for n, (c, w) in enumerate(zip(coefficients, np.abs(coefficients)), start=1):
             writer.writerow(
                 [n, repr(float(c.real)), repr(float(c.imag)), repr(float(abs(c) ** 2)), repr(float(w))]
             )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gmchaos as gc
+from gmchaos import spectral
 
 N_MAX = 2**12
 REPS = 200
@@ -46,13 +47,13 @@ def gamma05_ensemble():
     for r in range(REPS):
         h = gc.sample_hierarchy(DEPTH, GRID_SLOPE, SEED_GAMMA05, r)
         density = gc.chaos_density(h, 0.5)
-        abs2[r] = np.abs(gc.fourier_coefficients(density, N_MAX).coefficients) ** 2
+        abs2[r] = np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2
         s_sums[r] = [float(np.sum(gc.dyadic_masses(density, lv) ** 2)) for lv in s_levels]
         if r < 50:
             frost[r] = gc.frostman_scan(density, 0.3, frost_levels)
         for m in norm_depths:
             part = gc.chaos_density(h, 0.5, depth=m)
-            spectra[m][r] = gc.fourier_coefficients(part, N_MAX).coefficients
+            spectra[m][r] = gc.fourier_coefficients(part, N_MAX)
     return {
         "abs2": abs2,
         "s_levels": s_levels,
@@ -69,7 +70,7 @@ def gamma10_abs2():
     for r in range(REPS):
         h = gc.sample_hierarchy(DEPTH, GRID_SLOPE, SEED_GAMMA10, r)
         density = gc.chaos_density(h, 1.0)
-        abs2[r] = np.abs(gc.fourier_coefficients(density, N_MAX).coefficients) ** 2
+        abs2[r] = np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2
     return abs2
 
 
@@ -167,21 +168,18 @@ def test_criterion_04_holder_moment_boundedness():
 def test_criterion_05_decomposition_identities():
     grid = gc.GridSpec(1024)
     gamma, tau, n_max = 0.5, 0.4, 128
+    weights = spectral.decay_weights(n_max, tau)
     worst_tel = 0.0
     for rep in range(10):
         h = gc.sample_hierarchy(8, grid, seed=3000, replica=rep)
         for k in range(1, 9):
-            low = gc.martingale_vector(
-                gc.fourier_coefficients(gc.chaos_density(h, gamma, k - 1), n_max), tau
-            )
-            high = gc.martingale_vector(
-                gc.fourier_coefficients(gc.chaos_density(h, gamma, k), n_max), tau
-            )
+            low = weights * gc.fourier_coefficients(gc.chaos_density(h, gamma, k - 1), n_max)
+            high = weights * gc.fourier_coefficients(gc.chaos_density(h, gamma, k), n_max)
             total = np.zeros(n_max, dtype=complex)
             for parity in ("odd", "even"):
                 for interval in gc.dyadic_family(k - 1, parity):
-                    total += gc.localized_vector(h, gamma, interval, tau, n_max).values
-            worst_tel = max(worst_tel, float(np.max(np.abs(total - (high.weighted - low.weighted)))))
+                    total += gc.localized_vector(h, gamma, interval, tau, n_max)
+            worst_tel = max(worst_tel, float(np.max(np.abs(total - (high - low)))))
 
     gen = np.random.default_rng(77)
     worst_abel = 0.0
@@ -290,7 +288,7 @@ def test_criterion_11_clt_rescaling():
     for r in range(REPS):
         h = gc.sample_hierarchy(12, grid, SEED_GAMMA04, r)
         density = gc.chaos_density(h, 0.4)
-        coeffs[r] = gc.fourier_coefficients(density, 2**10).coefficients
+        coeffs[r] = gc.fourier_coefficients(density, 2**10)
     profile = gc.clt_rescale_profile(coeffs, 0.4, 6, 10)
     values = np.array([v for _, _, v in profile])
     spread = float(values.max() / values.min())

@@ -78,7 +78,9 @@ def test_config_file_with_flag_override(tmp_path):
     assert (result.config.seed, result.config.statistic) == (4, "mean")
 
 
-@pytest.mark.parametrize("line", ["sead = 3", "format = xml", "stat = mode", "reps = many", "reps 8"])
+@pytest.mark.parametrize(
+    "line", ["sead = 3", "format = xml", "stat = mode", "reps = many", "reps 8", "config = /nonexistent.cfg"]
+)
 def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, line):
     ran = []
     monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: ran.append(args))
@@ -210,6 +212,19 @@ def test_report_refuses_repeated_depths_and_levels(tmp_path, capsys, key, values
     archive.write_text(json.dumps(payload))
     error = usage_error(capsys, ["report", "--in", str(archive), "--out", str(tmp_path / "r")])
     assert re.search(message, error)
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("key, value", [("gamma", "0.5"), ("depth", "7")])
+def test_report_refuses_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    config = harness.ExperimentConfig(gamma=0.5, depth=7, grid_size=256, n_max=32, replicas=2, seed=1)
+    archive = tmp_path / "ens.json"
+    harness.export_result(harness.run_ensemble(config), "json", archive)
+    payload = json.loads(archive.read_text())
+    payload["config"][key] = value
+    archive.write_text(json.dumps(payload))
+    error = usage_error(capsys, ["report", "--in", str(archive), "--out", str(tmp_path / "r")])
+    assert error.startswith(f"gmchaos: error: archive field 'config' is malformed: {key} must be")
     assert not (tmp_path / "r").exists()
 
 

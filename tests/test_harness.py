@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gmchaos
 from gmchaos import estimators, harness, measure, rng, sampler, spectral
 
 
@@ -62,6 +64,29 @@ def test_config_validation():
         small_config(tau=1.0)
     with pytest.raises(estimators.NoFeasibleExponentsError):
         small_config(gamma=1.3, tau=0.5, norm_depths=(5,))  # tau above the decay exponent
+    # wrong types are refused by name before any check could truncate them
+    wrong_types = [
+        ("depth", 7.5, "depth must be an integer, got 7.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("replicas", True, "replicas must be an integer, got True"),
+        ("mass_levels", (2.7, 3), "mass_levels entry must be an integer, got 2.7"),
+        ("norm_depths", (5, False), "norm_depths entry must be an integer, got False"),
+        ("norm_depths", 5, "norm_depths must be a sequence of integers, got 5"),
+        ("gamma", "0.5", "gamma must be a number, got '0.5'"),
+        ("gamma", True, "gamma must be a number, got True"),
+        ("tau", "0.0", "tau must be a number, got '0.0'"),
+        ("depth", "7", "depth must be an integer, got '7'"),
+        ("seed", "1", "seed must be an integer, got '1'"),
+        ("replicas", "4", "replicas must be an integer, got '4'"),
+        ("n_max", 32.0, "n_max must be an integer, got 32.0"),
+        ("grid_size", None, "grid_size must be an integer, got None"),
+    ]
+    for name, value, message in wrong_types:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{name: value})
+    numpy_typed = small_config(depth=np.int64(7), seed=np.uint32(41), norm_depths=np.array([5, 7]))
+    assert numpy_typed == small_config()
+    assert type(numpy_typed.depth) is type(numpy_typed.seed) is type(numpy_typed.norm_depths[0]) is int
 
 
 def test_replica_determinism_and_separation():
@@ -384,7 +409,7 @@ def test_replica_statistics_are_the_kernels():
         assert record.level_mass_sq.tobytes() == level_sq.tobytes()
         for depth, value in zip(config.norm_depths, record.norm_powers):
             part = measure.chaos_density(hierarchy, config.gamma, depth=depth)
-            coefficients = spectral.fourier_coefficients(part, config.n_max).coefficients
+            coefficients = spectral.fourier_coefficients(part, config.n_max)
             assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
 
 
@@ -397,7 +422,7 @@ def test_norm_sum_matches_uniform_bound_probe():
         rows = []
         for replica in range(config.replicas):
             part = measure.chaos_density(_block_fields(config, replica), config.gamma, depth=depth)
-            rows.append(spectral.fourier_coefficients(part, config.n_max).coefficients)
+            rows.append(spectral.fourier_coefficients(part, config.n_max))
         spectra[depth] = np.array(rows)
     depths, means = estimators.uniform_bound_probe(config.gamma, config.tau, plan.p, plan.q, spectra)
     assert depths == list(config.norm_depths)
@@ -442,8 +467,7 @@ def test_decay_fit_from_result_matches_estimator():
     for r in range(40):
         # run_replica draws the depth-10 field as the one block 0..10
         h = sampler.sample_blocks((10,), sampler.GridSpec(2048), 3, r)
-        spec = spectral.fourier_coefficients(measure.chaos_density(h, 0.5), 256)
-        abs2[r] = np.abs(spec.coefficients) ** 2
+        abs2[r] = np.abs(spectral.fourier_coefficients(measure.chaos_density(h, 0.5), 256)) ** 2
     direct = estimators.decay_slope(abs2, 8, 256, statistic="mean")
     assert fit.slope == pytest.approx(direct.slope, abs=1e-12)
 
@@ -575,10 +599,23 @@ def _entry(value, *keys):
         (_entry("1", "histograms", 0, "counts", 0), r"'histograms' is malformed: .*'1' is not a JSON integer"),
         (_entry("1", "histograms", 3, "bins", 0), r"'histograms' is malformed: .*'1' is not a JSON integer"),
         (_entry(True, "histograms", 0, "counts", 0), r"'histograms' is malformed: .*True is not a JSON integer"),
+        ({"config": 5}, r"'config' is malformed: config must be a JSON object, got 5$"),
+        (_entry("0.5", "config", "gamma"), r"'config' is malformed: gamma must be a number, got '0.5'$"),
+        (_entry("0.0", "config", "tau"), r"'config' is malformed: tau must be a number, got '0.0'$"),
+        (_entry(7.5, "config", "depth"), r"'config' is malformed: depth must be an integer, got 7.5$"),
+        (_entry("7", "config", "depth"), r"'config' is malformed: depth must be an integer, got '7'$"),
+        (_entry(1.5, "config", "seed"), r"'config' is malformed: seed must be an integer, got 1.5$"),
+        (_entry("1", "config", "seed"), r"'config' is malformed: seed must be an integer, got '1'$"),
+        (_entry(True, "config", "replicas"), r"'config' is malformed: replicas must be an integer, got True$"),
+        (_entry("4", "config", "replicas"), r"'config' is malformed: replicas must be an integer, got '4'$"),
+        (_entry(32.0, "config", "n_max"), r"'config' is malformed: n_max must be an integer, got 32.0$"),
+        (_entry(2.7, "config", "mass_levels", 0), r"'config' is malformed: mass_levels entry must be .*2.7$"),
     ],
     ids=["unsorted-bins", "count-7", "count-negative", "count-string", "count-float", "count-bool",
          "mass-sum-string", "abs2-sum-string", "abs2-sum-bool", "coeff-sum-bool", "counts-string",
-         "bins-string", "counts-bool"],
+         "bins-string", "counts-bool", "config-not-object", "gamma-string", "tau-string",
+         "depth-float", "depth-string", "seed-float", "seed-string", "replicas-bool",
+         "replicas-string", "n-max-float", "mass-level-float"],
 )
 def test_load_refuses_malformed_counts_and_histograms(tmp_path, change, message):
     path = _archive(tmp_path)
@@ -603,3 +640,10 @@ def test_run_ensemble_refuses_bad_replica_range_before_any_replica(monkeypatch, 
     with pytest.raises(ValueError, match=message):
         harness.run_ensemble(small_config(), replica_range)
     assert calls == []
+
+
+def test_package_archive_and_project_versions_agree():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    assert gmchaos.__version__ == project["version"]
+    assert harness.VERSION == f"gmchaos {project['version']}"

@@ -51,14 +51,14 @@ def test_weight_moment_closed_forms():
 
 def test_chaos_density_degenerate(hierarchy):
     density = measure.chaos_density(hierarchy, 0.0)
-    assert np.array_equal(density.values, np.ones(256))
+    assert np.array_equal(density, np.ones(256))
 
 
 def test_chaos_density_positive_and_finite():
     h = sampler.sample_hierarchy(12, sampler.GridSpec(1024), seed=3)
     density = measure.chaos_density(h, 1.3)
-    assert np.all(density.values > 0.0)
-    assert np.all(np.isfinite(density.values))
+    assert np.all(density > 0.0)
+    assert np.all(np.isfinite(density))
 
 
 def test_chaos_density_depth_slicing(hierarchy):
@@ -66,7 +66,7 @@ def test_chaos_density_depth_slicing(hierarchy):
     manual = np.ones(256)
     for j in range(4):
         manual *= measure.weight_field(hierarchy, j, 0.6)
-    assert np.allclose(density.values, manual, rtol=1e-12)
+    assert np.allclose(density, manual, rtol=1e-12)
     with pytest.raises(ValueError):
         measure.chaos_density(hierarchy, 0.6, depth=7)
 
@@ -77,7 +77,7 @@ def test_total_mass_unit_mean():
     masses = np.empty(n)
     for r in range(n):
         h = sampler.sample_hierarchy(8, grid, seed=31, replica=r)
-        masses[r] = measure.chaos_density(h, 0.7).values.mean()
+        masses[r] = measure.chaos_density(h, 0.7).mean()
     se = masses.std(ddof=1) / math.sqrt(n)
     assert abs(masses.mean() - 1.0) <= 3 * se
 
@@ -92,7 +92,7 @@ def test_total_mass_constant_across_depths():
     for r in range(n):
         h = sampler.sample_hierarchy(8, grid, seed=19, replica=r)
         for c, m in enumerate(depths):
-            masses[r, c] = measure.chaos_density(h, 0.6, depth=m).values.mean()
+            masses[r, c] = measure.chaos_density(h, 0.6, depth=m).mean()
     for c in range(len(depths)):
         se = masses[:, c].std(ddof=1) / math.sqrt(n)
         assert abs(masses[:, c].mean() - 1.0) <= 3 * se
@@ -194,4 +194,4 @@ def test_density_csv_export(tmp_path, hierarchy):
     i, t, v = lines[5].split(",")
     assert int(i) == 4
     assert float(t) == 4 / 256
-    assert float(v) == density.values[4]
+    assert float(v) == density[4]

@@ -22,20 +22,38 @@ def _uniform_density(size=256):
 
 def test_uniform_density_has_zero_coefficients():
     spec = spectral.fourier_coefficients(_uniform_density(), 16)
-    assert np.max(np.abs(spec.coefficients)) < 1e-12
+    assert np.max(np.abs(spec)) < 1e-12
 
 
 def test_band_limited_exactness():
-    grid = sampler.GridSpec(256)
-    base = _uniform_density()
-    values = 1.0 + np.cos(2 * np.pi * grid.times())
-    density = measure.ChaosDensity(
-        grid=grid, gamma=0.0, depth=0, values=values, seed=0, replica=0
-    )
-    spec = spectral.fourier_coefficients(density, 8)
-    assert spec.coefficients[0] == pytest.approx(0.5, abs=1e-13)
-    assert np.max(np.abs(spec.coefficients[1:])) < 1e-13
-    assert base.grid == grid
+    values = 1.0 + np.cos(2 * np.pi * sampler.GridSpec(256).times())
+    spec = spectral.fourier_coefficients(values, 8)
+    assert spec[0] == pytest.approx(0.5, abs=1e-13)
+    assert np.max(np.abs(spec[1:])) < 1e-13
+
+
+def test_fourier_coefficients_are_the_scaled_fft_bitwise(hierarchy):
+    density = measure.chaos_density(hierarchy, 0.5)
+    for n_max in (1, 17, 128):
+        expected = np.fft.fft(density)[1 : n_max + 1] / density.size
+        assert spectral.fourier_coefficients(density, n_max).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda values, path: spectral.fourier_coefficients(values, 8),
+        lambda values, path: measure.dyadic_masses(values, 2),
+        lambda values, path: measure.interval_mass(values, (0.0, 0.5)),
+        lambda values, path: measure.write_density_csv(values, path),
+    ],
+    ids=["fourier_coefficients", "dyadic_masses", "interval_mass", "write_density_csv"],
+)
+def test_array_stages_refuse_a_grid_that_is_not_a_power_of_two(tmp_path, stage):
+    path = tmp_path / "density.csv"
+    with pytest.raises(ValueError, match="grid size must be a power of two >= 2, got 100"):
+        stage(np.ones(100), path)
+    assert not path.exists()
 
 
 def test_nyquist_guard():
@@ -43,22 +61,11 @@ def test_nyquist_guard():
         spectral.fourier_coefficients(_uniform_density(256), 33)  # above 256/8
 
 
-def test_martingale_vector_weighting():
-    spec = spectral.fourier_coefficients(_uniform_density(), 16)
-    same = spectral.martingale_vector(spec, 0.0)
-    assert np.array_equal(same.weighted, spec.coefficients)
-    weighted = spectral.martingale_vector(spec, 0.5)
-    assert weighted.weighted[3] == pytest.approx(4**0.25 * spec.coefficients[3], abs=1e-18)
-    assert math.isclose(4**0.25, math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        spectral.martingale_vector(spec, 1.0)
-
-
 def test_weighted_modulus_invariant(hierarchy):
     spec = spectral.fourier_coefficients(measure.chaos_density(hierarchy, 0.5), 64)
-    vec = spectral.martingale_vector(spec, 0.7)
+    weighted = spectral.decay_weights(64, 0.7) * spec
     n = np.arange(1, 65)
-    assert np.allclose(np.abs(vec.weighted), n**0.35 * np.abs(spec.coefficients), rtol=1e-12)
+    assert np.allclose(np.abs(weighted), n**0.35 * np.abs(spec), rtol=1e-12)
 
 
 def test_dyadic_family_odd_even():
@@ -86,7 +93,7 @@ def test_dyadic_interval_grid_alignment():
 
 def test_localized_vector_degenerate(hierarchy):
     vec = spectral.localized_vector(hierarchy, 0.0, spectral.DyadicInterval(2, 1), 0.5, 32)
-    assert np.array_equal(vec.values, np.zeros(32, dtype=complex))
+    assert np.array_equal(vec, np.zeros(32, dtype=complex))
 
 
 def test_localized_vector_against_direct_sum(hierarchy):
@@ -104,7 +111,7 @@ def test_localized_vector_against_direct_sum(hierarchy):
         direct = n ** (tau / 2) * np.sum(
             core[i_lo:i_hi] * np.exp(-2j * np.pi * n * t[i_lo:i_hi])
         ) / grid.size
-        assert abs(vec.values[n - 1] - direct) < 1e-12
+        assert abs(vec[n - 1] - direct) < 1e-12
 
 
 def test_localized_requires_deep_enough_hierarchy(hierarchy):
@@ -116,19 +123,14 @@ def test_localized_requires_deep_enough_hierarchy(hierarchy):
 
 def test_increment_decomposition(hierarchy):
     gamma, tau, n_max = 0.5, 0.4, 64
+    weights = spectral.decay_weights(n_max, tau)
     for k in range(1, 7):
-        low = spectral.martingale_vector(
-            spectral.fourier_coefficients(measure.chaos_density(hierarchy, gamma, k - 1), n_max),
-            tau,
-        )
-        high = spectral.martingale_vector(
-            spectral.fourier_coefficients(measure.chaos_density(hierarchy, gamma, k), n_max),
-            tau,
-        )
+        low = weights * spectral.fourier_coefficients(measure.chaos_density(hierarchy, gamma, k - 1), n_max)
+        high = weights * spectral.fourier_coefficients(measure.chaos_density(hierarchy, gamma, k), n_max)
         total = np.zeros(n_max, dtype=complex)
         for interval in spectral.dyadic_family(k - 1):
-            total += spectral.localized_vector(hierarchy, gamma, interval, tau, n_max).values
-        assert np.max(np.abs(total - (high.weighted - low.weighted))) < 1e-10
+            total += spectral.localized_vector(hierarchy, gamma, interval, tau, n_max)
+        assert np.max(np.abs(total - (high - low))) < 1e-10
 
 
 def test_same_parity_intervals_decouple():
@@ -295,8 +297,7 @@ def test_conditional_centering_of_localized_vector():
             grid=grid, depth=3, samples=rows, variances=base.variances.copy(),
             seed=99, replica=r + 1,
         )
-        vec = spectral.localized_vector(h, 0.5, interval, 0.4, 32)
-        values[r] = vec.values[list(picks)]
+        values[r] = spectral.localized_vector(h, 0.5, interval, 0.4, 32)[list(picks)]
     for col in range(len(picks)):
         for part in (values[:, col].real, values[:, col].imag):
             se = part.std(ddof=1) / math.sqrt(n_resample)
@@ -304,9 +305,7 @@ def test_conditional_centering_of_localized_vector():
 
 
 def test_spectrum_csv_export(tmp_path, hierarchy):
-    spec = spectral.martingale_vector(
-        spectral.fourier_coefficients(measure.chaos_density(hierarchy, 0.5), 16), 0.5
-    )
+    spec = spectral.fourier_coefficients(measure.chaos_density(hierarchy, 0.5), 16)
     path = tmp_path / "spectrum.csv"
     spectral.write_spectrum_csv(spec, path)
     lines = path.read_text().splitlines()
@@ -316,6 +315,14 @@ def test_spectrum_csv_export(tmp_path, hierarchy):
     assert int(n) == 1
     assert float(abs2) == pytest.approx(float(re) ** 2 + float(im) ** 2, rel=1e-12)
     assert float(weighted) == pytest.approx(math.sqrt(float(abs2)), rel=1e-12)
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 17))
+    assert [row[3] for row in rows] == [repr(float(abs(c) ** 2)) for c in spec]
+    # weighted_abs is |mu_hat(n)| from numpy's vectorised modulus, which may
+    # differ in the last bit from the scalar abs(c) that rounds through hypot
+    assert [row[4] for row in rows] == [repr(float(w)) for w in np.abs(spec)]
+    written = np.array([float(row[4]) for row in rows])
+    np.testing.assert_array_max_ulp(written, np.array([abs(c) for c in spec]), maxulp=1)
 
 
 def test_separation_json_export(tmp_path, hierarchy):
@@ -354,12 +361,10 @@ def test_weight_sites_use_the_decay_weights_bitwise(hierarchy):
     tau, n_max, interval = 0.7, 64, spectral.DyadicInterval(2, 3)
     weights = spectral.decay_weights(n_max, tau)
     spec = spectral.fourier_coefficients(measure.chaos_density(hierarchy, 0.5), n_max)
-    weighted = spectral.martingale_vector(spec, tau).weighted
-    assert weighted.tobytes() == (weights * spec.coefficients).tobytes()
-    raw = spectral.localized_vector(hierarchy, 0.5, interval, 0.0, n_max).values  # weights n^0 = 1
-    local = spectral.localized_vector(hierarchy, 0.5, interval, tau, n_max).values
+    raw = spectral.localized_vector(hierarchy, 0.5, interval, 0.0, n_max)  # weights n^0 = 1
+    local = spectral.localized_vector(hierarchy, 0.5, interval, tau, n_max)
     assert local.tobytes() == (weights * raw).tobytes()
-    rows = np.stack([spec.coefficients, raw])
+    rows = np.stack([spec, raw])
     expected = spectral.lq_norm(weights * rows, 16.0) ** 1.5
     assert estimators.norm_powers(rows, tau, 1.5, 16.0).tobytes() == expected.tobytes()
     comp = spectral.separation_bound(hierarchy, 0.5, interval, tau, 3, n_max=n_max)
