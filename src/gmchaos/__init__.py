@@ -79,10 +79,11 @@ from .spectral import (
     localized_vector,
     lq_norm,
     product_difference_expansion,
+    second_moment,
     segment_integral,
     separation_bound,
     write_separation_json,
     write_spectrum_csv,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

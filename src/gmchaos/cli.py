@@ -90,7 +90,7 @@ def _check_embedding() -> str:
         grid = GridSpec(64)
         seq = covariance_sequence(j, grid)
         eig = embedding_spectrum(seq)
-        implied = np.fft.ifft(eig).real
+        implied = np.fft.irfft(eig, n=seq.size)
         worst = max(worst, float(np.max(np.abs(implied - seq))))
     if worst > 1e-10:
         raise AssertionError(f"embedding covariance defect {worst:.2e}")

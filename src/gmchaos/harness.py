@@ -28,7 +28,7 @@ import numpy as np
 from . import estimators, measure, spectral
 from .sampler import GridSpec, sample_blocks
 
-VERSION = "gmchaos 0.3.0"
+VERSION = "gmchaos 0.4.0"
 
 # Bins per unit of log|mu_hat|^2: medians land within 1/512, far inside slope errors (~0.03).
 BINS_PER_UNIT = 256

@@ -3,17 +3,21 @@
 Each level field is stationary with a compactly supported closed-form
 covariance (see :mod:`gmchaos.geometry`), so it can be sampled exactly on a
 uniform grid of [0, 1) by circulant embedding: periodize the covariance
-with period 2 (twice the unit interval, so supports never wrap), take the
-DFT to get the embedding eigenvalues (:func:`embedding_spectrum` returns
-them as an array), colour complex white noise and keep
-the real part on the first half of the circle.  The periodized sequence is
-positive semidefinite in exact arithmetic; tiny negative eigenvalues from
-round-off are clamped, anything larger is treated as a formula bug.
+with period 2 (twice the unit interval, so supports never wrap) and take
+its real DFT to get the G + 1 distinct embedding eigenvalues
+(:func:`embedding_spectrum` returns them as an array).  A field is one
+Hermitian half-spectrum of complex white noise coloured by their square
+roots and one real inverse FFT of length 2G, of which the first half is
+kept (Wood & Chan 1994; Dietrich & Newsam 1997).  The periodized sequence
+is positive semidefinite in exact arithmetic; tiny negative eigenvalues
+from round-off are clamped, anything larger is treated as a formula bug.
 
 The levels are independent, so a block of levels lo..hi is one stationary
 field with the summed eigenvalues.  :func:`sample_blocks` draws blocks; a
 one-level block is :func:`sample_level`, and :func:`sample_hierarchy` is
-all levels one by one.
+all levels one by one.  The sampler keeps one colouring filter of G + 1
+floats per distinct block, about 2.5 MiB for the five blocks of a
+grid-2^16 replica with four norm depths.
 
 A dense eigenfactorization sampler over small grids is included as a
 cross-validation utility; it is not the production path.
@@ -21,6 +25,7 @@ cross-validation utility; it is not the production path.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -110,15 +115,16 @@ def covariance_sequence(j: int, grid: GridSpec) -> np.ndarray:
 
 
 def embedding_spectrum(seq: np.ndarray) -> np.ndarray:
-    """Eigenvalues (real DFT) of an even-length symmetric covariance sequence,
-    round-off negatives clamped to zero."""
+    """The n/2 + 1 distinct eigenvalues (real DFT at frequencies 0..n/2) of an
+    even-length symmetric covariance sequence, round-off negatives clamped
+    to zero."""
     seq = np.asarray(seq, dtype=float)
     n = seq.size
     if n % 2:
         raise ValueError("covariance sequence must have even length")
     if not np.array_equal(seq[1:], seq[1:][::-1]):
         raise ValueError("covariance sequence must be symmetric")
-    eig = np.fft.fft(seq).real
+    eig = np.fft.rfft(seq).real
     top = float(eig.max(initial=0.0))
     floor = -EPS_CLAMP * top
     if np.any(eig < floor):
@@ -132,27 +138,32 @@ def embedding_spectrum(seq: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _block_root(lo: int, hi: int, grid: GridSpec) -> np.ndarray:
-    """Colouring filter of the block lo..hi: the square root of its summed
-    embedding eigenvalues over the period points.  These filters are the
-    sampler's only cache; the level spectra are built here and dropped."""
-    spectra = [embedding_spectrum(covariance_sequence(j, grid)) for j in range(lo, hi + 1)]
-    eigenvalues = np.sum(spectra, axis=0)
-    return np.sqrt(eigenvalues / (2 * grid.size))
+    """Colouring filter of the block lo..hi: r_k = sqrt(G * lambda_k) for its
+    summed eigenvalues lambda_0..lambda_G, with r_0 and r_G times sqrt(2),
+    the two real modes of the half-spectrum.  These filters are the
+    sampler's only cache; the level spectra are summed here and dropped."""
+    eigenvalues = embedding_spectrum(covariance_sequence(lo, grid))
+    for j in range(lo + 1, hi + 1):
+        eigenvalues += embedding_spectrum(covariance_sequence(j, grid))
+    root = np.sqrt(grid.size * eigenvalues)
+    root[[0, -1]] *= math.sqrt(2.0)
+    return root
 
 
 def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int) -> np.ndarray:
     root = _block_root(lo, hi, grid)
     gen = rng.field_stream(seed, replica, *((lo,) if lo == hi else (lo, hi)))
-    # noise[0] + i noise[1], coloured in one array; the noise is freed at once
+    # noise[0] + i noise[1] at frequencies 0..G; irfft drops the imaginary
+    # parts at 0 and G
     z = np.empty(root.size, dtype=complex)
     z.real, z.imag = gen.standard_normal((2, root.size))
     z *= root
-    return np.ascontiguousarray(np.fft.fft(z).real[: grid.size])
+    return np.fft.irfft(z, n=2 * grid.size)[: grid.size]
 
 
 def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:
     """Draw the fields of the level blocks ending at the increasing depths
-    `breaks`, one noise draw and one FFT per block, for one replica.
+    `breaks`, one noise draw and one inverse FFT per block, for one replica.
 
     Block i holds the levels breaks[i - 1] + 1 .. breaks[i] (from level 0
     for i = 0).  A one-level block draws from that level's stream, so it
@@ -163,7 +174,9 @@ def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldH
         raise ValueError(f"breaks must be increasing non-negative depths, got {breaks!r}")
     blocks = list(zip((0, *(b + 1 for b in breaks[:-1])), breaks))
     variances = np.array([sum(map(geometry.level_variance, range(lo, hi + 1))) for lo, hi in blocks])
-    rows = np.stack([_block_field(lo, hi, grid, seed, replica) for lo, hi in blocks])
+    rows = np.empty((len(blocks), grid.size))
+    for row, (lo, hi) in zip(rows, blocks):  # each 2G-point transform is freed at once
+        row[:] = _block_field(lo, hi, grid, seed, replica)
     return FieldHierarchy(
         grid, int(breaks[-1]), rows, variances, int(seed), int(replica), tuple(map(int, breaks))
     )

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import measure
+from . import geometry, measure
 from .sampler import FieldHierarchy, GridSpec
 
 TWO_PI = 2.0 * math.pi
@@ -77,11 +77,28 @@ def fourier_coefficients(density: np.ndarray, n_max: int) -> np.ndarray:
     """Rectangle-rule coefficients mu_hat(n) = (1/G) sum values * exp(-2 pi i n t)
     of the G grid values, n = 1..n_max.
 
-    One FFT of the grid values; exact for trigonometric polynomials of
+    One real FFT of the grid values; exact for trigonometric polynomials of
     degree below the grid size.
     """
     n_max = _check_n_max(n_max, GridSpec(density.size))
-    return np.fft.fft(density)[1 : n_max + 1] / density.size
+    return np.fft.rfft(density)[1 : n_max + 1] / density.size
+
+
+def second_moment(gamma: float, depth: int, grid: GridSpec, n_max: int) -> np.ndarray:
+    """Exact E|mu_hat(n)|^2, n = 1..n_max, of the rectangle-rule coefficients
+    of the depth-`depth` chaos density on `grid` (Kahane's second-moment
+    computation, done on the grid the sampler draws).
+
+    The circulant embedding is exact for lags below 1, so the grid density
+    has E[rho_i rho_l] = exp(gamma^2 C_m(|i - l| / G)); grouping the pairs by
+    lag gives (2 Re FFT(a)[n] - a_0) / G^2 with a_k = (G - k) exp(gamma^2 C_m(k / G)).
+    """
+    gamma = measure.validate_gamma(gamma)
+    n_max = _check_n_max(n_max, grid)
+    g = grid.size
+    k = np.arange(g)
+    a = (g - k) * np.exp(gamma**2 * geometry.cumulative_covariance(depth, k / g))
+    return (2.0 * np.fft.rfft(a)[1 : n_max + 1].real - a[0]) / g**2
 
 
 def lq_norm(values, q: float):

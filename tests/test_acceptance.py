@@ -6,6 +6,7 @@ computed once per session.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,25 +36,40 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
     return ok
 
 
+def _replicas(replica):
+    """replica(r) for r = 0..REPS-1 on two threads, in replica order.  Each
+    replica is a pure function of its index, so the results are the serial ones."""
+    with ThreadPoolExecutor(2) as pool:
+        return list(pool.map(replica, range(REPS)))
+
+
 @pytest.fixture(scope="module")
 def gamma05_ensemble():
     norm_depths = (6, 8, 10, 12)
-    abs2 = np.empty((REPS, N_MAX))
     s_levels = list(range(4, 11))
-    s_sums = np.empty((REPS, len(s_levels)))
     frost_levels = list(range(6, 11))
-    frost = np.empty((50, len(frost_levels)))
-    spectra = {m: np.empty((REPS, N_MAX), dtype=complex) for m in norm_depths}
-    for r in range(REPS):
+
+    def replica(r):
         h = gc.sample_hierarchy(DEPTH, GRID_SLOPE, SEED_GAMMA05, r)
         density = gc.chaos_density(h, 0.5)
-        abs2[r] = np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2
-        s_sums[r] = [float(np.sum(gc.dyadic_masses(density, lv) ** 2)) for lv in s_levels]
+        return (
+            np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2,
+            [float(np.sum(gc.dyadic_masses(density, lv) ** 2)) for lv in s_levels],
+            gc.frostman_scan(density, 0.3, frost_levels) if r < 50 else None,
+            [gc.fourier_coefficients(gc.chaos_density(h, 0.5, depth=m), N_MAX) for m in norm_depths],
+        )
+
+    abs2 = np.empty((REPS, N_MAX))
+    s_sums = np.empty((REPS, len(s_levels)))
+    frost = np.empty((50, len(frost_levels)))
+    spectra = {m: np.empty((REPS, N_MAX), dtype=complex) for m in norm_depths}
+    for r, (row, sums, scan, parts) in enumerate(_replicas(replica)):
+        abs2[r] = row
+        s_sums[r] = sums
         if r < 50:
-            frost[r] = gc.frostman_scan(density, 0.3, frost_levels)
-        for m in norm_depths:
-            part = gc.chaos_density(h, 0.5, depth=m)
-            spectra[m][r] = gc.fourier_coefficients(part, N_MAX)
+            frost[r] = scan
+        for m, part in zip(norm_depths, parts):
+            spectra[m][r] = part
     return {
         "abs2": abs2,
         "s_levels": s_levels,
@@ -66,12 +82,11 @@ def gamma05_ensemble():
 
 @pytest.fixture(scope="module")
 def gamma10_abs2():
-    abs2 = np.empty((REPS, N_MAX))
-    for r in range(REPS):
+    def replica(r):
         h = gc.sample_hierarchy(DEPTH, GRID_SLOPE, SEED_GAMMA10, r)
-        density = gc.chaos_density(h, 1.0)
-        abs2[r] = np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2
-    return abs2
+        return np.abs(gc.fourier_coefficients(gc.chaos_density(h, 1.0), N_MAX)) ** 2
+
+    return np.stack(_replicas(replica))
 
 
 def test_criterion_01_geometry_exactness():

@@ -429,6 +429,22 @@ def test_norm_sum_matches_uniform_bound_probe():
     np.testing.assert_allclose(result.norm_sum / result.count, means, rtol=1e-12)
 
 
+def test_block_means_of_abs2_match_the_exact_second_moment():
+    # 512 replicas in 16 groups of 32; per dyadic block [2^a, 2^(a+1)) from 8
+    # to 511 (a = 3..8), the group means of abs2_sum / count over the oracle's
+    # block mean must average to 1 within 4 between-group standard errors
+    config = harness.ExperimentConfig(gamma=0.5, depth=11, grid_size=8192, n_max=512, replicas=512, seed=11)
+    oracle = spectral.second_moment(config.gamma, config.depth, config.grid, config.n_max)
+    columns = spectral.block_columns(config.n_max)[3:9]
+    ratios = np.empty((16, len(columns)))
+    for g in range(16):
+        result = harness.run_ensemble(config, replica_range=(32 * g, 32 * g + 32))
+        mean_abs2 = result.abs2_sum / result.count
+        ratios[g] = [mean_abs2[c].mean() / oracle[c].mean() for c in columns]
+    z = (ratios.mean(axis=0) - 1.0) / (ratios.std(axis=0, ddof=1) / 4.0)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
 def test_histogram_median_within_half_a_bin():
     gen = np.random.default_rng(0)
     for size in (1, 2, 7, 40, 1001):
@@ -507,7 +523,7 @@ def test_load_rejects_old_format_archive(tmp_path):
         tmp_path, version="gmchaos 0.1.0", histograms=None, abs2_sq_sum=[0.0] * 32,
         reservoirs={str(a): reservoir for a in range(6)},
     )
-    with pytest.raises(ValueError, match="'gmchaos 0.1.0'.*'gmchaos 0.3.0'"):
+    with pytest.raises(ValueError, match="'gmchaos 0.1.0'.*'gmchaos 0.4.0'"):
         harness.load_result(path)
 
 

@@ -40,8 +40,8 @@ def test_embedding_psd(j, size):
     seq = sampler.covariance_sequence(j, sampler.GridSpec(size))
     eig = sampler.embedding_spectrum(seq)
     assert np.all(eig >= 0.0)
-    assert eig.shape == (2 * size,)
-    assert eig.tobytes() == np.maximum(np.fft.fft(seq).real, 0.0).tobytes()  # the clamped DFT
+    assert eig.shape == (size + 1,)
+    assert eig.tobytes() == np.maximum(np.fft.rfft(seq).real, 0.0).tobytes()  # the clamped real DFT
 
 
 @given(log2_size=st.integers(1, 16), lo=st.integers(0, 18), width=st.integers(0, 3))
@@ -51,7 +51,7 @@ def test_block_embedding_is_psd_on_any_grid(log2_size, lo, width):
     for seq in seqs:
         assert np.all(sampler.embedding_spectrum(seq) >= 0.0)
     block = sampler.embedding_spectrum(np.sum(seqs, axis=0))  # raises if not PSD
-    assert block.shape == (2 * grid.size,)
+    assert block.shape == (grid.size + 1,)
 
 
 def test_embedding_rejects_non_psd():
@@ -71,7 +71,7 @@ def test_embedding_implied_covariance_matches_closed_form():
         grid = sampler.GridSpec(size)
         for j in range(5):
             seq = sampler.covariance_sequence(j, grid)
-            implied = np.fft.ifft(sampler.embedding_spectrum(seq)).real
+            implied = np.fft.irfft(sampler.embedding_spectrum(seq), n=2 * size)
             assert np.max(np.abs(implied - seq)) < 1e-10
             # matrix form against the closed form on the grid
             t = grid.times()
@@ -198,17 +198,18 @@ def test_binary_dump_rejects_truncated_header(tmp_path):
 
 
 def _inline_block_draw(lo, hi, grid, seed, replica):
-    """The colouring written out: complex noise from the block's stream times
-    sqrt(summed eigenvalues / period points), one FFT, real first half."""
-    eig = sum(
-        sampler.embedding_spectrum(sampler.covariance_sequence(j, grid))
-        for j in range(lo, hi + 1)
-    )
-    m = 2 * grid.size
+    """The colouring written out: half-spectrum complex noise from the block's
+    stream times sqrt(G * eigenvalues summed in level order), the DC and
+    Nyquist terms times sqrt(2), one real inverse FFT of length 2G, first half."""
+    spectra = [sampler.embedding_spectrum(sampler.covariance_sequence(j, grid)) for j in range(lo, hi + 1)]
+    g = grid.size
+    root = np.sqrt(g * sum(spectra[1:], spectra[0]))
+    root[0] *= math.sqrt(2.0)
+    root[g] *= math.sqrt(2.0)
     key = (lo,) if lo == hi else (lo, hi)
-    noise = rng.stream(seed, rng.TAG_FIELD, replica, *key).standard_normal((2, m))
-    coloured = np.fft.fft((noise[0] + 1j * noise[1]) * np.sqrt(eig / m))
-    return coloured.real[: grid.size]
+    noise = rng.stream(seed, rng.TAG_FIELD, replica, *key).standard_normal((2, g + 1))
+    coloured = np.fft.irfft((noise[0] + 1j * noise[1]) * root, n=2 * g)
+    return coloured[:g]
 
 
 @pytest.mark.parametrize("log2_size", range(1, 17))
@@ -231,8 +232,8 @@ def test_level_streams_are_bit_identical_to_the_level_formula(log2_size):
 
 def test_sampler_retains_only_the_block_filters():
     grid = sampler.GridSpec(2**12)
-    for n in (grid.size, 2 * grid.size):  # numpy's FFT plans are not the sampler's
-        np.fft.fft(np.ones(n, dtype=complex))
+    n = 2 * grid.size  # numpy's FFT plans are not the sampler's
+    np.fft.irfft(np.fft.rfft(np.ones(n)), n=n)
     sampler.sample_level(0, sampler.GridSpec(2), 0)  # nor is numpy.random's lazy import
     sampler._block_root.cache_clear()
     tracemalloc.start()
@@ -243,7 +244,7 @@ def test_sampler_retains_only_the_block_filters():
     finally:
         tracemalloc.stop()
     assert sampler._block_root.cache_info().currsize == 3
-    assert retained <= 3 * 2 * grid.size * 8 + 16 * 1024, retained
+    assert retained <= 3 * (grid.size + 1) * 8 + 16 * 1024, retained
 
 
 def test_block_eigenvalues_match_cumulative_covariance():
@@ -251,9 +252,25 @@ def test_block_eigenvalues_match_cumulative_covariance():
         grid = sampler.GridSpec(size)
         r = np.arange(2 * size)
         lags = np.minimum(r, 2 * size - r) / size
-        exact = np.fft.fft(geometry.cumulative_covariance(m, lags)).real
-        summed = sampler._block_root(0, m, grid) ** 2 * (2 * size)
+        exact = np.fft.rfft(geometry.cumulative_covariance(m, lags)).real
+        summed = sampler._block_root(0, m, grid) ** 2 / size
+        summed[[0, -1]] /= 2  # the real DC and Nyquist modes carry sqrt(2)
         assert np.max(np.abs(summed - exact)) <= 1e-12 * exact.max()
+
+
+@pytest.mark.parametrize("log2_size", range(1, 17))
+def test_block_filter_implies_the_summed_covariance(log2_size):
+    # noise-free law of the half-spectrum colouring: w_k = E|z_k|^2 with the
+    # real DC and Nyquist modes counted once and every other mode twice (for
+    # itself and its mirror at 2G - k); its inverse transform over 2G is the
+    # block covariance at every circle lag
+    grid = sampler.GridSpec(2**log2_size)
+    for lo, hi in ((0, 0), (0, 6), (3, 6), (13, 16)):
+        w = sampler._block_root(lo, hi, grid) ** 2
+        w[1:-1] *= 2
+        implied = np.fft.irfft(w, n=2 * grid.size) / (2 * grid.size)
+        exact = sum(sampler.covariance_sequence(j, grid) for j in range(lo, hi + 1))
+        assert np.max(np.abs(implied - exact)) <= 1e-12 * exact[0], (lo, hi)
 
 
 def test_block_field_law():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmchaos import estimators, measure, sampler, spectral
+from gmchaos import estimators, geometry, measure, sampler, spectral
 
 COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -35,7 +35,7 @@ def test_band_limited_exactness():
 def test_fourier_coefficients_are_the_scaled_fft_bitwise(hierarchy):
     density = measure.chaos_density(hierarchy, 0.5)
     for n_max in (1, 17, 128):
-        expected = np.fft.fft(density)[1 : n_max + 1] / density.size
+        expected = np.fft.rfft(density)[1 : n_max + 1] / density.size
         assert spectral.fourier_coefficients(density, n_max).tobytes() == expected.tobytes()
 
 
@@ -54,6 +54,22 @@ def test_array_stages_refuse_a_grid_that_is_not_a_power_of_two(tmp_path, stage):
     with pytest.raises(ValueError, match="grid size must be a power of two >= 2, got 100"):
         stage(np.ones(100), path)
     assert not path.exists()
+
+
+def test_second_moment_is_the_pair_sum():
+    # the lag-grouped formula against the double sum over grid pairs
+    grid = sampler.GridSpec(64)
+    t = grid.times()
+    lags = np.abs(t[:, None] - t[None, :])
+    for gamma, depth in ((0.0, 4), (0.5, 5), (1.2, 6)):
+        pair = np.exp(gamma**2 * geometry.cumulative_covariance(depth, lags))
+        n = np.arange(1, 9)
+        phase = np.exp(-2j * np.pi * n[:, None] * t[None, :])
+        direct = np.einsum("ni,il,nl->n", phase, pair, phase.conj()).real / 64**2
+        exact = spectral.second_moment(gamma, depth, grid, 8)
+        assert np.max(np.abs(exact - direct)) <= 1e-12 * pair.max()
+    with pytest.raises(ValueError):
+        spectral.second_moment(0.5, 5, grid, 9)  # above 64/8
 
 
 def test_nyquist_guard():
