@@ -31,6 +31,7 @@ from .geometry import (
     OverlapQuadrature,
     cumulative_covariance,
     level_covariance,
+    level_support,
     level_variance,
     overlap_quadrature,
     region_difference_measure,
@@ -63,6 +64,7 @@ from .sampler import (
     GridSpec,
     NotEmbeddableError,
     covariance_sequence,
+    embedding_period,
     embedding_spectrum,
     read_hierarchy,
     sample_hierarchy,
@@ -86,4 +88,4 @@ from .spectral import (
     write_spectrum_csv,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, geometry, harness, measure, spectral
-from .sampler import GridSpec, covariance_sequence, embedding_spectrum, sample_hierarchy
+from .sampler import (
+    GridSpec,
+    covariance_sequence,
+    embedding_period,
+    embedding_spectrum,
+    sample_hierarchy,
+)
 
 
 def _config_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
@@ -86,15 +92,17 @@ def _check_branch_continuity() -> str:
 
 def _check_embedding() -> str:
     worst = 0.0
-    for j in range(5):
-        grid = GridSpec(64)
-        seq = covariance_sequence(j, grid)
-        eig = embedding_spectrum(seq)
-        implied = np.fft.irfft(eig, n=seq.size)
+    grid = GridSpec(64)
+    for j in range(6):
+        period = embedding_period(j, grid)
+        if period < grid.size * (1 + geometry.level_support(j)) - 1:
+            raise AssertionError(f"level {j}: period {period} folds its support onto the grid")
+        seq = covariance_sequence(j, grid, period)
+        implied = np.fft.irfft(embedding_spectrum(seq), n=period)
         worst = max(worst, float(np.max(np.abs(implied - seq))))
     if worst > 1e-10:
         raise AssertionError(f"embedding covariance defect {worst:.2e}")
-    return f"max implied-covariance defect = {worst:.2e}"
+    return f"max implied-covariance defect = {worst:.2e} at the sampler's periods"
 
 
 def _check_product_identity(seed: int) -> str:

@@ -45,6 +45,13 @@ def level_variance(j: int) -> float:
     return 1.0 if j == 0 else LN2
 
 
+def level_support(j: int) -> float:
+    """Lag beyond which the level-j covariance vanishes: 1 for level 0,
+    2^-(j-1) (the strip top) above."""
+    j = _check_level(j)
+    return 1.0 if j == 0 else 2.0 ** (-(j - 1))
+
+
 def level_covariance(j: int, h):
     """Covariance of the level-j field at lag h >= 0.
 
@@ -56,7 +63,7 @@ def level_covariance(j: int, h):
     if j == 0:
         out = np.maximum(0.0, 1.0 - lags)
     else:
-        half = 2.0 ** (-(j - 1))  # strip top; support ends here
+        half = level_support(j)
         full = 2.0 ** (-j)  # strip bottom
         out = np.zeros_like(lags)
         low = lags <= full

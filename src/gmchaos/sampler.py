@@ -2,22 +2,30 @@
 
 Each level field is stationary with a compactly supported closed-form
 covariance (see :mod:`gmchaos.geometry`), so it can be sampled exactly on a
-uniform grid of [0, 1) by circulant embedding: periodize the covariance
-with period 2 (twice the unit interval, so supports never wrap) and take
-its real DFT to get the G + 1 distinct embedding eigenvalues
-(:func:`embedding_spectrum` returns them as an array).  A field is one
-Hermitian half-spectrum of complex white noise coloured by their square
-roots and one real inverse FFT of length 2G, of which the first half is
-kept (Wood & Chan 1994; Dietrich & Newsam 1997).  The periodized sequence
-is positive semidefinite in exact arithmetic; tiny negative eigenvalues
-from round-off are clamped, anything larger is treated as a formula bug.
+uniform grid of [0, 1) by circulant embedding: periodize the covariance on
+a circle of P points and take its real DFT to get the P/2 + 1 distinct
+embedding eigenvalues (:func:`embedding_spectrum` returns them as an
+array).  A field is one Hermitian half-spectrum of complex white noise
+coloured by their square roots and one real inverse FFT of length P, of
+which the first G points are kept (Wood & Chan 1994; Dietrich & Newsam
+1997).  The periodized sequence is positive semidefinite in exact
+arithmetic; tiny negative eigenvalues from round-off are clamped, anything
+larger is treated as a formula bug.
+
+The circle only has to hold the covariance support s (1 for levels 0 and
+1, 2^-(j-1) for level j): G points plus a gap of sG leave every lag the
+grid sees unwrapped.  :func:`embedding_period` sizes it by the first level
+of a block as P = G + G/2^k with k = max(0, min(lo - 1, 3, log2 G - 1)),
+so 2G for blocks starting at level 0 or 1, 1.5G at level 2, 1.25G at
+level 3 and 1.125G from level 4 on.
 
 The levels are independent, so a block of levels lo..hi is one stationary
-field with the summed eigenvalues.  :func:`sample_blocks` draws blocks; a
-one-level block is :func:`sample_level`, and :func:`sample_hierarchy` is
-all levels one by one.  The sampler keeps one colouring filter of G + 1
-floats per distinct block, about 2.5 MiB for the five blocks of a
-grid-2^16 replica with four norm depths.
+field with the summed eigenvalues.  :func:`block_fields` colours blocks one
+at a time and :func:`sample_blocks` stacks them; a one-level block is
+:func:`sample_level`, and :func:`sample_hierarchy` is all levels one by
+one.  The sampler keeps one colouring filter of P/2 + 1 floats per distinct
+block, about 1.6 MiB for the five blocks of a grid-2^16 replica with four
+norm depths.
 
 A dense eigenfactorization sampler over small grids is included as a
 cross-validation utility; it is not the production path.
@@ -102,15 +110,30 @@ class FieldHierarchy:
         return self.samples[j]
 
 
-def covariance_sequence(j: int, grid: GridSpec) -> np.ndarray:
-    """Period-2 covariance periodization sampled at the 2*size circle lags.
+def embedding_period(lo: int, grid: GridSpec) -> int:
+    """Circle length P = G + G/2^k, k = max(0, min(lo - 1, 3, log2 G - 1)),
+    on which a block starting at level lo is embedded.  P is even and at
+    least G(1 + s) - 1 and 2sG for the support s of level lo, so no lag
+    0..G-1 wraps onto the support."""
+    k = max(0, min(geometry._check_level(lo) - 1, 3, grid.log2_size - 1))
+    return grid.size + (grid.size >> k)
 
-    Entry r is the closed-form covariance at circular lag min(r, 2G-r)/G;
-    supports never exceed 1, so the periodization is overlap-free.
+
+def covariance_sequence(j: int, grid: GridSpec, period: int | None = None) -> np.ndarray:
+    """Covariance periodization sampled at the lags of a circle of `period`
+    points (default 2G, which holds any level's support).
+
+    Entry r is the closed-form covariance at circular lag
+    min(r, period - r)/G.  A period that would fold the support onto the
+    grid's lags is refused.
     """
-    two_g = 2 * grid.size
-    r = np.arange(two_g)
-    lags = np.minimum(r, two_g - r) / grid.size
+    g = grid.size
+    period = 2 * g if period is None else int(period)
+    support = geometry.level_support(j)
+    if period % 2 or period < g * (1 + support) - 1 or period < 2 * support * g:
+        raise ValueError(f"period {period} is odd or folds the level-{j} support onto the grid of {g}")
+    r = np.arange(period)
+    lags = np.minimum(r, period - r) / g
     return geometry.level_covariance(j, lags)
 
 
@@ -138,53 +161,78 @@ def embedding_spectrum(seq: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _block_root(lo: int, hi: int, grid: GridSpec) -> np.ndarray:
-    """Colouring filter of the block lo..hi: r_k = sqrt(G * lambda_k) for its
-    summed eigenvalues lambda_0..lambda_G, with r_0 and r_G times sqrt(2),
-    the two real modes of the half-spectrum.  These filters are the
-    sampler's only cache; the level spectra are summed here and dropped."""
-    eigenvalues = embedding_spectrum(covariance_sequence(lo, grid))
+    """Colouring filter of the block lo..hi on its circle of P points:
+    r_k = sqrt(P/2 * lambda_k) for its summed eigenvalues lambda_0..lambda_P/2,
+    with r_0 and r_P/2 times sqrt(2), the two real modes of the
+    half-spectrum.  These filters are the sampler's only cache; the level
+    spectra are summed here and dropped."""
+    period = embedding_period(lo, grid)
+    eigenvalues = embedding_spectrum(covariance_sequence(lo, grid, period))
     for j in range(lo + 1, hi + 1):
-        eigenvalues += embedding_spectrum(covariance_sequence(j, grid))
-    root = np.sqrt(grid.size * eigenvalues)
+        eigenvalues += embedding_spectrum(covariance_sequence(j, grid, period))
+    root = np.sqrt(period // 2 * eigenvalues)
     root[[0, -1]] *= math.sqrt(2.0)
     return root
 
 
 def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int) -> np.ndarray:
+    """The block's field at the grid points: a view of the first G points of
+    its P-point transform."""
     root = _block_root(lo, hi, grid)
     gen = rng.field_stream(seed, replica, *((lo,) if lo == hi else (lo, hi)))
-    # noise[0] + i noise[1] at frequencies 0..G; irfft drops the imaginary
-    # parts at 0 and G
+    # real + i imag normals at frequencies 0..P/2, drawn in that order; irfft
+    # drops the imaginary parts at 0 and P/2
     z = np.empty(root.size, dtype=complex)
-    z.real, z.imag = gen.standard_normal((2, root.size))
+    z.real = gen.standard_normal(root.size)
+    z.imag = gen.standard_normal(root.size)
     z *= root
-    return np.fft.irfft(z, n=2 * grid.size)[: grid.size]
+    return np.fft.irfft(z, n=2 * (root.size - 1))[: grid.size]
 
 
-def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:
-    """Draw the fields of the level blocks ending at the increasing depths
-    `breaks`, one noise draw and one inverse FFT per block, for one replica.
+def block_fields(breaks, grid: GridSpec, seed: int, replica: int = 0):
+    """Iterator over (depth, variance, field) of the level blocks ending at
+    the increasing depths `breaks`, one noise draw and one inverse FFT per
+    block, coloured as the iterator advances.
 
     Block i holds the levels breaks[i - 1] + 1 .. breaks[i] (from level 0
-    for i = 0).  A one-level block draws from that level's stream, so it
-    equals sample_level bit for bit.
+    for i = 0), and its variance is the sum of theirs.  Each field is a
+    view into that block's transform, so keeping one keeps the transform;
+    the iterator itself keeps none.  The breaks are checked before this
+    returns.
     """
     breaks = tuple(breaks)
     if not breaks or breaks[0] < 0 or any(a >= b for a, b in zip(breaks, breaks[1:])):
         raise ValueError(f"breaks must be increasing non-negative depths, got {breaks!r}")
     blocks = list(zip((0, *(b + 1 for b in breaks[:-1])), breaks))
-    variances = np.array([sum(map(geometry.level_variance, range(lo, hi + 1))) for lo, hi in blocks])
-    rows = np.empty((len(blocks), grid.size))
-    for row, (lo, hi) in zip(rows, blocks):  # each 2G-point transform is freed at once
-        row[:] = _block_field(lo, hi, grid, seed, replica)
+    variances = [sum(map(geometry.level_variance, range(lo, hi + 1))) for lo, hi in blocks]
+    return (
+        (hi, variance, _block_field(lo, hi, grid, seed, replica))
+        for (lo, hi), variance in zip(blocks, variances)
+    )
+
+
+def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:
+    """Draw the fields of the level blocks ending at the increasing depths
+    `breaks` for one replica, stacked from :func:`block_fields`.
+
+    A one-level block draws from that level's stream, so it equals
+    sample_level bit for bit.
+    """
+    breaks = tuple(breaks)
+    fields = block_fields(breaks, grid, seed, replica)
+    variances = np.empty(len(breaks))
+    rows = np.empty((len(breaks), grid.size))
+    for i in range(len(breaks)):  # each transform is freed once copied
+        _, variances[i], rows[i] = next(fields)
     return FieldHierarchy(
         grid, int(breaks[-1]), rows, variances, int(seed), int(replica), tuple(map(int, breaks))
     )
 
 
 def sample_level(j: int, grid: GridSpec, seed: int, replica: int = 0) -> np.ndarray:
-    """One exact draw of the level-j field at the grid points."""
-    return _block_field(j, j, grid, seed, replica)
+    """One exact draw of the level-j field at the grid points, in an array
+    of its own (not a view of the P-point transform)."""
+    return _block_field(j, j, grid, seed, replica).copy()
 
 
 def sample_hierarchy(m: int, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,45 @@ def test_replica_statistics_are_the_kernels():
             assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
 
 
+def test_running_exponent_is_the_stacked_block_density():
+    # norm depths out of order: run_replica reads them in level order
+    config = harness.ExperimentConfig(
+        gamma=0.5, depth=14, grid_size=2**12, n_max=256, tau=0.3,
+        norm_depths=(10, 6, 12, 8), mass_levels=(2, 5, 9),
+    )
+    plan = config.exponents()
+    for replica in range(2):
+        record = harness.run_replica(config, replica)
+        hierarchy = _block_fields(config, replica)
+        density = measure.chaos_density(hierarchy, config.gamma)
+        assert record.coefficients.tobytes() == spectral.fourier_coefficients(density, config.n_max).tobytes()
+        assert record.total_mass == float(density.mean())
+        assert record.level_mass_sq.tobytes() == measure.l2_sums(density, config.mass_levels).tobytes()
+        for depth, value in zip(config.norm_depths, record.norm_powers):
+            part = measure.chaos_density(hierarchy, config.gamma, depth=depth)
+            coefficients = spectral.fourier_coefficients(part, config.n_max)
+            assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
+
+
+def test_run_replica_peak_memory():
+    # in G-length float arrays: the running exponent and the density (2),
+    # the first block's transform on its 2G circle (2), kept while the next
+    # block's half-spectrum and transform on 1.125G (2.25) are made; five
+    # stacked rows took 9.2
+    config = harness.ExperimentConfig(
+        gamma=0.5, depth=16, grid_size=2**12, n_max=256, tau=0.3,
+        norm_depths=(6, 8, 10, 12), mass_levels=tuple(range(4, 11)),
+    )
+    harness.run_replica(config, 0)  # fills the filter cache
+    tracemalloc.start()
+    try:
+        harness.run_replica(config, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 8 * config.grid_size, peak
+
+
 def test_norm_sum_matches_uniform_bound_probe():
     config = small_config(replicas=8)
     plan = config.exponents()
@@ -523,7 +563,7 @@ def test_load_rejects_old_format_archive(tmp_path):
         tmp_path, version="gmchaos 0.1.0", histograms=None, abs2_sq_sum=[0.0] * 32,
         reservoirs={str(a): reservoir for a in range(6)},
     )
-    with pytest.raises(ValueError, match="'gmchaos 0.1.0'.*'gmchaos 0.4.0'"):
+    with pytest.raises(ValueError, match="'gmchaos 0.1.0'.*'gmchaos 0.5.0'"):
         harness.load_result(path)
 
 

@@ -198,18 +198,22 @@ def test_binary_dump_rejects_truncated_header(tmp_path):
 
 
 def _inline_block_draw(lo, hi, grid, seed, replica):
-    """The colouring written out: half-spectrum complex noise from the block's
-    stream times sqrt(G * eigenvalues summed in level order), the DC and
-    Nyquist terms times sqrt(2), one real inverse FFT of length 2G, first half."""
-    spectra = [sampler.embedding_spectrum(sampler.covariance_sequence(j, grid)) for j in range(lo, hi + 1)]
-    g = grid.size
-    root = np.sqrt(g * sum(spectra[1:], spectra[0]))
+    """The colouring written out on the block's circle of P points:
+    half-spectrum complex noise from the block's stream times
+    sqrt(P/2 * eigenvalues summed in level order), the DC and Nyquist terms
+    times sqrt(2), one real inverse FFT of length P, first G points."""
+    period = sampler.embedding_period(lo, grid)
+    spectra = [
+        sampler.embedding_spectrum(sampler.covariance_sequence(j, grid, period)) for j in range(lo, hi + 1)
+    ]
+    half = period // 2
+    root = np.sqrt(half * sum(spectra[1:], spectra[0]))
     root[0] *= math.sqrt(2.0)
-    root[g] *= math.sqrt(2.0)
+    root[half] *= math.sqrt(2.0)
     key = (lo,) if lo == hi else (lo, hi)
-    noise = rng.stream(seed, rng.TAG_FIELD, replica, *key).standard_normal((2, g + 1))
-    coloured = np.fft.irfft((noise[0] + 1j * noise[1]) * root, n=2 * g)
-    return coloured[:g]
+    noise = rng.stream(seed, rng.TAG_FIELD, replica, *key).standard_normal((2, half + 1))
+    coloured = np.fft.irfft((noise[0] + 1j * noise[1]) * root, n=period)
+    return coloured[: grid.size]
 
 
 @pytest.mark.parametrize("log2_size", range(1, 17))
@@ -230,21 +234,56 @@ def test_level_streams_are_bit_identical_to_the_level_formula(log2_size):
     assert blocks.samples[2].tobytes() == _inline_block_draw(3, 6, grid, 8, 5).tobytes()
 
 
+def test_sample_level_owns_its_row():
+    row = sampler.sample_level(5, sampler.GridSpec(64), seed=2)
+    assert row.base is None and row.size == 64  # not a view keeping the P-point transform
+
+
+def test_two_normal_calls_are_one_two_row_draw():
+    # _block_field fills z.real and z.imag by two calls; the stream is that
+    # of one (2, n) draw, row by row
+    n = 4097
+    two_rows = rng.field_stream(3, 1, 4, 9).standard_normal((2, n))
+    gen = rng.field_stream(3, 1, 4, 9)
+    real, imag = gen.standard_normal(n), gen.standard_normal(n)
+    assert real.tobytes() == two_rows[0].tobytes() and imag.tobytes() == two_rows[1].tobytes()
+
+
+@pytest.mark.parametrize("log2_size", range(1, 17))
+def test_embedding_period_covers_the_support(log2_size):
+    grid = sampler.GridSpec(2**log2_size)
+    g = grid.size
+    for j in range(25):
+        period = sampler.embedding_period(j, grid)
+        support = geometry.level_support(j)
+        assert period % 2 == 0
+        assert period >= g * (1 + support) - 1 and period >= 2 * support * g, (j, period)
+        eig = np.fft.rfft(sampler.covariance_sequence(j, grid, period)).real
+        assert eig.min() >= -sampler.EPS_CLAMP * eig.max(), (j, period)
+    expected = {0: 2 * g, 1: 2 * g, 2: g + g // 2, 3: g + g // 4, 4: g + g // 8, 24: g + g // 8}
+    if log2_size >= 4:
+        assert {j: sampler.embedding_period(j, grid) for j in expected} == expected
+    with pytest.raises(ValueError, match="folds the level-0 support"):
+        sampler.covariance_sequence(0, grid, 2 * g - 2)
+
+
 def test_sampler_retains_only_the_block_filters():
     grid = sampler.GridSpec(2**12)
-    n = 2 * grid.size  # numpy's FFT plans are not the sampler's
-    np.fft.irfft(np.fft.rfft(np.ones(n)), n=n)
+    blocks = ((0, 3), (4, 6), (7, 12))
+    periods = [sampler.embedding_period(lo, grid) for lo, _ in blocks]
+    for n in periods:  # numpy's FFT plans are not the sampler's
+        np.fft.irfft(np.fft.rfft(np.ones(n)), n=n)
     sampler.sample_level(0, sampler.GridSpec(2), 0)  # nor is numpy.random's lazy import
     sampler._block_root.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sampler.sample_blocks((3, 6, 12), grid, 1, 0)  # the fields are dropped at once
+        sampler.sample_blocks([hi for _, hi in blocks], grid, 1, 0)  # the fields are dropped at once
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert sampler._block_root.cache_info().currsize == 3
-    assert retained <= 3 * (grid.size + 1) * 8 + 16 * 1024, retained
+    assert retained <= sum(period // 2 + 1 for period in periods) * 8 + 16 * 1024, retained
 
 
 def test_block_eigenvalues_match_cumulative_covariance():
@@ -260,16 +299,17 @@ def test_block_eigenvalues_match_cumulative_covariance():
 
 @pytest.mark.parametrize("log2_size", range(1, 17))
 def test_block_filter_implies_the_summed_covariance(log2_size):
-    # noise-free law of the half-spectrum colouring: w_k = E|z_k|^2 with the
-    # real DC and Nyquist modes counted once and every other mode twice (for
-    # itself and its mirror at 2G - k); its inverse transform over 2G is the
-    # block covariance at every circle lag
+    # noise-free law of the half-spectrum colouring on the block's circle of
+    # P points: w_k = E|z_k|^2 with the real DC and Nyquist modes counted once
+    # and every other mode twice (for itself and its mirror at P - k); its
+    # inverse transform over P is the block covariance at every circle lag
     grid = sampler.GridSpec(2**log2_size)
     for lo, hi in ((0, 0), (0, 6), (3, 6), (13, 16)):
+        period = sampler.embedding_period(lo, grid)
         w = sampler._block_root(lo, hi, grid) ** 2
         w[1:-1] *= 2
-        implied = np.fft.irfft(w, n=2 * grid.size) / (2 * grid.size)
-        exact = sum(sampler.covariance_sequence(j, grid) for j in range(lo, hi + 1))
+        implied = np.fft.irfft(w, n=period) / period
+        exact = sum(sampler.covariance_sequence(j, grid, period) for j in range(lo, hi + 1))
         assert np.max(np.abs(implied - exact)) <= 1e-12 * exact[0], (lo, hi)
 
 
