@@ -25,7 +25,8 @@ at a time and :func:`sample_blocks` stacks them; a one-level block is
 :func:`sample_level`, and :func:`sample_hierarchy` is all levels one by
 one.  The sampler keeps one colouring filter of P/2 + 1 floats per distinct
 block, about 1.6 MiB for the five blocks of a grid-2^16 replica with four
-norm depths.
+norm depths.  A caller that colours many blocks can hand
+:func:`block_fields` one :class:`BlockWork` to colour them all in.
 
 A dense eigenfactorization sampler over small grids is included as a
 cross-validation utility; it is not the production path.
@@ -175,30 +176,45 @@ def _block_root(lo: int, hi: int, grid: GridSpec) -> np.ndarray:
     return root
 
 
-def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int) -> np.ndarray:
+@dataclass(frozen=True)
+class BlockWork:
+    """Arrays a block is coloured in: the half-spectrum z (at least P/2 + 1
+    complex entries) and the transform (at least P floats), whose first
+    P/2 + 1 entries also hold each noise draw before it enters z."""
+
+    half_spectrum: np.ndarray
+    transform: np.ndarray
+
+
+def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int, work=None) -> np.ndarray:
     """The block's field at the grid points: a view of the first G points of
-    its P-point transform."""
+    its P-point transform, coloured in `work` (default: arrays of its own)."""
     root = _block_root(lo, hi, grid)
+    period = 2 * (root.size - 1)
+    if work is None:
+        work = BlockWork(np.empty(root.size, dtype=complex), np.empty(period))
+    z, transform = work.half_spectrum[: root.size], work.transform[:period]
     gen = rng.field_stream(seed, replica, *((lo,) if lo == hi else (lo, hi)))
     # real + i imag normals at frequencies 0..P/2, drawn in that order; irfft
     # drops the imaginary parts at 0 and P/2
-    z = np.empty(root.size, dtype=complex)
-    z.real = gen.standard_normal(root.size)
-    z.imag = gen.standard_normal(root.size)
-    z *= root
-    return np.fft.irfft(z, n=2 * (root.size - 1))[: grid.size]
+    z.real = gen.standard_normal(out=transform[: root.size])
+    z.imag = gen.standard_normal(out=transform[: root.size])
+    z.real *= root  # part by part: z *= root would cast root to a complex temporary
+    z.imag *= root
+    return np.fft.irfft(z, n=period, out=transform)[: grid.size]
 
 
-def block_fields(breaks, grid: GridSpec, seed: int, replica: int = 0):
+def block_fields(breaks, grid: GridSpec, seed: int, replica: int = 0, work: BlockWork | None = None):
     """Iterator over (depth, variance, field) of the level blocks ending at
     the increasing depths `breaks`, one noise draw and one inverse FFT per
     block, coloured as the iterator advances.
 
     Block i holds the levels breaks[i - 1] + 1 .. breaks[i] (from level 0
-    for i = 0), and its variance is the sum of theirs.  Each field is a
-    view into that block's transform, so keeping one keeps the transform;
-    the iterator itself keeps none.  The breaks are checked before this
-    returns.
+    for i = 0), and its variance is the sum of theirs.  Without `work` each
+    field is a view into that block's own transform, so keeping one keeps
+    the transform; the iterator itself keeps none.  With `work` every block
+    is coloured in those arrays, so a field is valid only until the
+    iterator advances.  The breaks are checked before this returns.
     """
     breaks = tuple(breaks)
     if not breaks or breaks[0] < 0 or any(a >= b for a, b in zip(breaks, breaks[1:])):
@@ -206,7 +222,7 @@ def block_fields(breaks, grid: GridSpec, seed: int, replica: int = 0):
     blocks = list(zip((0, *(b + 1 for b in breaks[:-1])), breaks))
     variances = [sum(map(geometry.level_variance, range(lo, hi + 1))) for lo, hi in blocks]
     return (
-        (hi, variance, _block_field(lo, hi, grid, seed, replica))
+        (hi, variance, _block_field(lo, hi, grid, seed, replica, work))
         for (lo, hi), variance in zip(blocks, variances)
     )
 

@@ -73,15 +73,16 @@ def dyadic_blocks(n_lo: int, n_hi: int, n_max: int, min_blocks: int = 4) -> rang
     return exponents
 
 
-def fourier_coefficients(density: np.ndarray, n_max: int) -> np.ndarray:
+def fourier_coefficients(density: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rectangle-rule coefficients mu_hat(n) = (1/G) sum values * exp(-2 pi i n t)
     of the G grid values, n = 1..n_max.
 
-    One real FFT of the grid values; exact for trigonometric polynomials of
-    degree below the grid size.
+    One real FFT of the grid values, taken into `out` (G/2 + 1 complex
+    entries) when given; exact for trigonometric polynomials of degree
+    below the grid size.
     """
     n_max = _check_n_max(n_max, GridSpec(density.size))
-    return np.fft.rfft(density)[1 : n_max + 1] / density.size
+    return np.fft.rfft(density, out=out)[1 : n_max + 1] / density.size
 
 
 def second_moment(gamma: float, depth: int, grid: GridSpec, n_max: int) -> np.ndarray:

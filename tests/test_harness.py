@@ -453,6 +453,44 @@ def test_run_replica_peak_memory():
     assert peak <= 7 * 8 * config.grid_size, peak
 
 
+WORK_CONFIG = dict(
+    gamma=0.5, depth=14, grid_size=2**12, n_max=256, tau=0.3,
+    norm_depths=(6, 8, 10, 12), mass_levels=tuple(range(4, 11)),
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_work_arrays_carry_nothing_between_blocks_or_replicas(tmp_path, workers):
+    # the 1.125G blocks colour in slices of the 2G block's arrays, and every
+    # replica's running exponent must restart at zero
+    config = harness.ExperimentConfig(**WORK_CONFIG, replicas=7)
+    singles = [harness._singleton(config, harness.run_replica(config, i)) for i in range(7)]
+    harness.export_result(harness._tree_reduce(singles, config), "json", tmp_path / "standalone.json")
+    harness.export_result(harness.run_ensemble(config, workers=workers), "json", tmp_path / "run.json")
+    assert (tmp_path / "run.json").read_bytes() == (tmp_path / "standalone.json").read_bytes()
+
+
+def test_replica_in_an_ensemble_allocates_no_grid_array(monkeypatch):
+    config = harness.ExperimentConfig(**WORK_CONFIG, replicas=4)
+    harness.run_replica(config, 0)  # fills the filter cache and the FFT plans
+    peaks, run_replica = [], harness.run_replica
+
+    def traced(config, i):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        record = run_replica(config, i)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return record
+
+    monkeypatch.setattr(harness, "run_replica", traced)
+    tracemalloc.start()
+    try:
+        harness.run_ensemble(config)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4 and max(peaks) < 8 * config.grid_size, peaks
+
+
 def test_norm_sum_matches_uniform_bound_probe():
     config = small_config(replicas=8)
     plan = config.exponents()
@@ -610,6 +648,22 @@ def test_export_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         harness.export_result(dataclasses.replace(result, mass_sum=math.nan), "json", path)
     assert not path.exists()  # refused before the file is opened
+
+
+def test_export_peak_stays_below_twice_the_archive(tmp_path):
+    config = harness.ExperimentConfig(gamma=0.5, depth=14, grid_size=2**15, n_max=4096, replicas=8)
+    result = harness.run_ensemble(config)
+    path = tmp_path / "ensemble.json"
+    harness.export_result(result, "json", path)
+    tracemalloc.start()
+    try:
+        harness.export_result(result, "json", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = path.read_text()
+    assert peak <= 2 * len(text), (peak, len(text))
+    assert text == json.dumps(json.loads(text), allow_nan=False) + "\n"  # across chunk boundaries
 
 
 @pytest.mark.parametrize("key, value", [("counts", 2**31), ("counts", -1), ("bins", 2**31)])
