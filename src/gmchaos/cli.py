@@ -204,7 +204,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # Rejects gamma, --grid, --m and --seed before any sampling.
+    measure.validate_gamma(args.gamma)
     grid = GridSpec(args.grid)
+    if grid.size < spectral.NYQUIST_FRACTION:
+        raise ValueError(f"grid size must be at least {spectral.NYQUIST_FRACTION}, got {grid.size}")
+    if args.m < 0:
+        raise ValueError(f"depth must be a non-negative integer, got {args.m}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     hierarchy = sample_hierarchy(args.m, grid, args.seed)
     density = measure.chaos_density(hierarchy, args.gamma)
     spectrum = spectral.fourier_coefficients(density, grid.size // spectral.NYQUIST_FRACTION)

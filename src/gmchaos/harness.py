@@ -7,8 +7,9 @@ result is byte-identical no matter how the replicas were scheduled.  With
 several workers the replicas run on threads of the calling process: numpy's
 FFTs, normal draws and exp release the interpreter lock, and all threads
 share the sampler's cache of block filters.  Each worker, the calling
-thread when serial, colours, exponentiates and transforms every replica it
-runs in one set of work arrays, allocated once per ensemble.
+thread when serial, runs one contiguous run of replica ids in one work
+array, passed to run_replica, in which it colours, exponentiates and
+transforms every replica of the run.
 Aggregates are mergeable: counts and histograms merge exactly, floating
 accumulators merge associatively to rounding.
 
@@ -22,14 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import estimators, measure, spectral
-from .sampler import BlockWork, GridSpec, block_fields
+from .sampler import GridSpec, block_fields, scratch_size
 
 VERSION = "gmchaos 0.5.0"
 
@@ -236,65 +236,42 @@ def empty_result(config: ExperimentConfig) -> EnsembleResult:
     return EnsembleResult(config=config, **_accumulators(config))
 
 
-@dataclass(frozen=True)
-class _ReplicaWork:
-    """One worker's arrays, reused by every replica it runs: the block
-    colouring arrays, the running exponent and the density.  Each density's
-    real FFT is taken into the block transform, whose field is spent by
-    then."""
-
-    blocks: BlockWork
-    exponent: np.ndarray
-    density: np.ndarray
-
-
-# The _ReplicaWork of a thread running an ensemble's replicas, set only
-# inside run_ensemble.
-_worker = threading.local()
-
-
-def _hold_work(grid: GridSpec) -> None:
-    """Give the calling thread arrays for any replica on `grid` (no circle
-    is longer than 2G), in one allocation.  Freed, that one block of 6G
-    floats lifts glibc's dynamic mmap threshold above the FFTs' own
-    scratch, which then stays on the heap: at grid 2^16 a replica in a
+def _work(grid: GridSpec) -> np.ndarray:
+    """Work array for any replica on `grid`: the sampler's scratch, then the
+    running exponent and the density, in one allocation.  Freed, that one
+    block of 6G floats lifts glibc's dynamic mmap threshold above the FFTs'
+    own scratch, which then stays on the heap: at grid 2^16 a replica in a
     later ensemble takes about 0 minor page faults, against about 600 with
     four arrays."""
-    g = grid.size
-    buffer = np.empty(6 * g + 2)
-    half_spectrum, transform, exponent, density = np.split(buffer, [2 * g + 2, 4 * g + 2, 5 * g + 2])
-    _worker.work = _ReplicaWork(BlockWork(half_spectrum.view(complex), transform), exponent, density)
+    return np.empty(scratch_size(grid) + 2 * grid.size)
 
 
-def run_replica(config: ExperimentConfig, replica_id: int) -> ReplicaRecord:
+def run_replica(config: ExperimentConfig, replica_id: int, work: np.ndarray | None = None) -> ReplicaRecord:
     """One replica: field blocks, density, spectrum and derived statistics.
 
     Only the depths the replica reads are sampled: one field per block of
     levels ending at a norm depth or at the construction depth.  Each block
     is added in level order into one running exponent, and each read
-    depth's density exp(gamma * sum - gamma^2/2 * variance) is taken from it
-    in one work array: bit for bit measure.chaos_density of the stacked
-    blocks, without holding them.  Inside run_ensemble every grid-sized
-    array is one of the worker's _ReplicaWork; a standalone call allocates
-    its own.
+    depth's density exp(gamma * sum - gamma^2/2 * variance) is taken from it:
+    bit for bit measure.chaos_density of the stacked blocks, without holding
+    them.  Every grid-sized array is a slice of `work`, a float64 array of
+    6G + 2 entries whose contents do not matter (None allocates one): the
+    sampler's scratch, then the exponent and the density.  Each density's
+    real FFT is taken into the head of the scratch, spent by then.
     Deterministic in (config.seed, replica_id); every stochastic stream is
     keyed by that pair.
     """
+    g = config.grid_size
+    work = _work(config.grid) if work is None else work
+    if work.dtype != float or work.shape != (scratch_size(config.grid) + 2 * g,):
+        raise ValueError(f"work must be a float64 array of 6G + 2 entries for grid size {g}")
+    exponent, density, spectrum = work[-2 * g : -g], work[-g:], work[: g + 2].view(complex)
+    exponent.fill(0.0)
     depths = sorted({*config.norm_depths, config.depth})
     plan = config.exponents()
     norms = np.zeros(len(config.norm_depths))
-    work = getattr(_worker, "work", None)
-    blocks = block_fields(depths, config.grid, config.seed, replica_id, None if work is None else work.blocks)
-    exponent = density = spectrum = None
     variances = []
-    for depth, variance, block in blocks:
-        if exponent is None:
-            if work is None:  # after the widest block: about 350 fewer page faults a replica at 2^16
-                exponent, density = np.empty(config.grid_size), np.empty(config.grid_size)
-            else:
-                exponent, density = work.exponent, work.density
-                spectrum = work.blocks.transform.view(complex)[: config.grid_size // 2 + 1]
-            exponent.fill(0.0)
+    for depth, variance, block in block_fields(depths, config.grid, config.seed, replica_id, work):
         exponent += block
         variances.append(variance)
         np.multiply(exponent, config.gamma, out=density)
@@ -312,6 +289,12 @@ def run_replica(config: ExperimentConfig, replica_id: int) -> ReplicaRecord:
         level_mass_sq=measure.l2_sums(density, config.mass_levels),
         norm_powers=norms,
     )
+
+
+def _run(config: ExperimentConfig, ids: range) -> list[ReplicaRecord]:
+    """run_replica over `ids` in order, all in one work array."""
+    work = _work(config.grid)
+    return [run_replica(config, i, work) for i in ids]
 
 
 def _singleton(config: ExperimentConfig, record: ReplicaRecord) -> EnsembleResult:
@@ -362,26 +345,28 @@ def run_ensemble(
     """Reduce run_replica over a replica id range (default 0..replicas),
     serially or on `workers` threads.
 
-    Each worker, the calling thread or a pool thread, runs its replicas in
-    one _ReplicaWork held for this call only.  The reduction follows a fixed
-    pairwise tree over the id order, so any number of workers produces
-    identical bytes.
+    The ids are cut into min(workers, replicas) contiguous runs in id order,
+    one per worker: serially one run on the calling thread, else one per
+    pool thread.  Each run allocates one work array and hands it to every
+    run_replica call of the run.  The reduction follows a fixed pairwise
+    tree over the id order, so any number of workers produces identical
+    bytes.
     """
-    if workers is not None and workers < 1:
+    if workers is not None and _integer(workers, "workers") < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     lo, hi = replica_range if replica_range is not None else (0, config.replicas)
+    lo, hi = _integer(lo, "replica_range entry"), _integer(hi, "replica_range entry")
     if not 0 <= lo <= hi:
         raise ValueError(f"replica_range must have 0 <= lo <= hi, got ({lo}, {hi})")
-    ids = range(lo, hi)
-    if workers is None or workers == 1:
-        _hold_work(config.grid)
-        try:
-            records = [run_replica(config, i) for i in ids]
-        finally:
-            del _worker.work
-    else:  # a pool thread's work arrays go with it when the pool shuts down
-        with ThreadPoolExecutor(max_workers=workers, initializer=_hold_work, initargs=(config.grid,)) as pool:
-            records = list(pool.map(run_replica, [config] * len(ids), ids))
+    count = min(workers or 1, hi - lo)
+    bounds = [lo + (hi - lo) * k // max(count, 1) for k in range(count + 1)]
+    runs = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    if len(runs) > 1:
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            parts = list(pool.map(_run, [config] * len(runs), runs))
+    else:
+        parts = [_run(config, ids) for ids in runs]
+    records = [record for part in parts for record in part]
     return _tree_reduce([_singleton(config, rec) for rec in records], config)
 
 

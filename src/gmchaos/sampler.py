@@ -25,8 +25,9 @@ at a time and :func:`sample_blocks` stacks them; a one-level block is
 :func:`sample_level`, and :func:`sample_hierarchy` is all levels one by
 one.  The sampler keeps one colouring filter of P/2 + 1 floats per distinct
 block, about 1.6 MiB for the five blocks of a grid-2^16 replica with four
-norm depths.  A caller that colours many blocks can hand
-:func:`block_fields` one :class:`BlockWork` to colour them all in.
+norm depths.  Blocks are coloured in a work array of
+:func:`scratch_size` floats, which a caller that colours many blocks can
+hand :func:`block_fields` to reuse.
 
 A dense eigenfactorization sampler over small grids is included as a
 cross-validation utility; it is not the production path.
@@ -176,24 +177,19 @@ def _block_root(lo: int, hi: int, grid: GridSpec) -> np.ndarray:
     return root
 
 
-@dataclass(frozen=True)
-class BlockWork:
-    """Arrays a block is coloured in: the half-spectrum z (at least P/2 + 1
-    complex entries) and the transform (at least P floats), whose first
-    P/2 + 1 entries also hold each noise draw before it enters z."""
-
-    half_spectrum: np.ndarray
-    transform: np.ndarray
+def scratch_size(grid: GridSpec) -> int:
+    """Floats a block on `grid` is coloured in: the half-spectrum of the
+    widest circle (2G, so G + 1 complex entries) and its transform."""
+    return 4 * grid.size + 2
 
 
-def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int, work=None) -> np.ndarray:
+def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int, work: np.ndarray) -> np.ndarray:
     """The block's field at the grid points: a view of the first G points of
-    its P-point transform, coloured in `work` (default: arrays of its own)."""
+    its P-point transform, coloured in the first scratch_size(grid) floats
+    of `work`."""
     root = _block_root(lo, hi, grid)
     period = 2 * (root.size - 1)
-    if work is None:
-        work = BlockWork(np.empty(root.size, dtype=complex), np.empty(period))
-    z, transform = work.half_spectrum[: root.size], work.transform[:period]
+    z, transform = work[: 2 * root.size].view(complex), work[2 * grid.size + 2 :][:period]
     gen = rng.field_stream(seed, replica, *((lo,) if lo == hi else (lo, hi)))
     # real + i imag normals at frequencies 0..P/2, drawn in that order; irfft
     # drops the imaginary parts at 0 and P/2
@@ -204,23 +200,24 @@ def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int, work
     return np.fft.irfft(z, n=period, out=transform)[: grid.size]
 
 
-def block_fields(breaks, grid: GridSpec, seed: int, replica: int = 0, work: BlockWork | None = None):
+def block_fields(breaks, grid: GridSpec, seed: int, replica: int = 0, work: np.ndarray | None = None):
     """Iterator over (depth, variance, field) of the level blocks ending at
     the increasing depths `breaks`, one noise draw and one inverse FFT per
     block, coloured as the iterator advances.
 
     Block i holds the levels breaks[i - 1] + 1 .. breaks[i] (from level 0
-    for i = 0), and its variance is the sum of theirs.  Without `work` each
-    field is a view into that block's own transform, so keeping one keeps
-    the transform; the iterator itself keeps none.  With `work` every block
-    is coloured in those arrays, so a field is valid only until the
-    iterator advances.  The breaks are checked before this returns.
+    for i = 0), and its variance is the sum of theirs.  Every block is
+    coloured in the first scratch_size(grid) floats of the float64 array
+    `work` (None allocates one), so a field is a view into it, valid only
+    until the iterator advances.  The breaks are checked before this
+    returns.
     """
     breaks = tuple(breaks)
     if not breaks or breaks[0] < 0 or any(a >= b for a, b in zip(breaks, breaks[1:])):
         raise ValueError(f"breaks must be increasing non-negative depths, got {breaks!r}")
     blocks = list(zip((0, *(b + 1 for b in breaks[:-1])), breaks))
     variances = [sum(map(geometry.level_variance, range(lo, hi + 1))) for lo, hi in blocks]
+    work = np.empty(scratch_size(grid)) if work is None else work
     return (
         (hi, variance, _block_field(lo, hi, grid, seed, replica, work))
         for (lo, hi), variance in zip(blocks, variances)
@@ -238,7 +235,7 @@ def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldH
     fields = block_fields(breaks, grid, seed, replica)
     variances = np.empty(len(breaks))
     rows = np.empty((len(breaks), grid.size))
-    for i in range(len(breaks)):  # each transform is freed once copied
+    for i in range(len(breaks)):
         _, variances[i], rows[i] = next(fields)
     return FieldHierarchy(
         grid, int(breaks[-1]), rows, variances, int(seed), int(replica), tuple(map(int, breaks))
@@ -248,7 +245,7 @@ def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldH
 def sample_level(j: int, grid: GridSpec, seed: int, replica: int = 0) -> np.ndarray:
     """One exact draw of the level-j field at the grid points, in an array
     of its own (not a view of the P-point transform)."""
-    return _block_field(j, j, grid, seed, replica).copy()
+    return _block_field(j, j, grid, seed, replica, np.empty(scratch_size(grid))).copy()
 
 
 def sample_hierarchy(m: int, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:

@@ -265,6 +265,28 @@ def test_clt_validates_before_sampling(tmp_path, monkeypatch, capsys, flags, mes
 @pytest.mark.parametrize(
     "flags,message",
     [
+        (["--gamma", "1.5"], "gamma must lie in [0, sqrt(2)), got 1.5"),
+        (["--grid", "4"], "grid size must be at least 8, got 4"),
+        (["--grid", "12"], "grid size must be a power of two >= 2, got 12"),
+        (["--m", "-1"], "depth must be a non-negative integer, got -1"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+    ],
+    ids=["gamma-supercritical", "grid-below-nyquist", "grid-not-power-of-two", "m-negative", "seed-negative"],
+)
+def test_simulate_validates_before_sampling(tmp_path, monkeypatch, capsys, flags, message):
+    ran = []
+    monkeypatch.setattr(cli, "sample_hierarchy", lambda *args: ran.append(args))
+    out = tmp_path / "out"
+    argv = ["simulate", "--gamma", "0.5", "--m", "6", "--grid", "256", "--seed", "3",
+            "--out", str(out)] + flags
+    assert message in usage_error(capsys, argv)
+    assert ran == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
         (["--nmax", "64"], r"4 complete dyadic blocks in \[8, 64\]"),
         (["--nmax", "128", "--fit-hi", "256"], "n_hi = 256 beyond the available 128"),
         (["--nmax", "128", "--level-lo", "5", "--level-hi", "4"], r"two levels, got \[\]"),

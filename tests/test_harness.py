@@ -100,6 +100,16 @@ def test_replica_determinism_and_separation():
     assert not np.array_equal(a.coefficients, c.coefficients)
 
 
+@pytest.mark.parametrize(
+    "work",
+    [np.empty(6 * 256 + 1), np.empty(6 * 256 + 2, dtype=np.float32), np.empty((2, 3 * 256 + 1))],
+    ids=["short", "float32", "two-dimensional"],
+)
+def test_run_replica_refuses_a_wrong_work_array(work):
+    with pytest.raises(ValueError, match="float64 array of 6G \\+ 2 entries for grid size 256"):
+        harness.run_replica(small_config(), 0, work)
+
+
 def test_degenerate_gamma_replica():
     config = small_config(gamma=0.0, norm_depths=())
     record = harness.run_replica(config, 0)
@@ -124,6 +134,8 @@ def test_merge_identity_and_counts():
     empty = harness.empty_result(config)
     merged = harness.merge_results(result, empty)
     assert merged.equals(result)
+    assert harness.run_ensemble(config, (2, 2)).equals(empty)
+    assert harness.run_ensemble(config, (2, 2), workers=2).equals(empty)
     a = harness.run_ensemble(config, replica_range=(0, 2))
     b = harness.run_ensemble(config, replica_range=(2, 4))
     combined = harness.merge_results(a, b)
@@ -243,7 +255,7 @@ def test_workers_run_in_the_calling_process(monkeypatch):
     pids = []
     run_replica = harness.run_replica
     monkeypatch.setattr(
-        harness, "run_replica", lambda config, i: pids.append(os.getpid()) or run_replica(config, i)
+        harness, "run_replica", lambda config, i, work: pids.append(os.getpid()) or run_replica(config, i, work)
     )
     harness.run_ensemble(small_config(replicas=4), workers=2)
     assert pids == [os.getpid()] * 4
@@ -415,23 +427,25 @@ def test_replica_statistics_are_the_kernels():
 
 
 def test_running_exponent_is_the_stacked_block_density():
-    # norm depths out of order: run_replica reads them in level order
+    # norm depths out of order: run_replica reads them in level order; a
+    # work array's old contents must not reach the record
     config = harness.ExperimentConfig(
         gamma=0.5, depth=14, grid_size=2**12, n_max=256, tau=0.3,
         norm_depths=(10, 6, 12, 8), mass_levels=(2, 5, 9),
     )
     plan = config.exponents()
     for replica in range(2):
-        record = harness.run_replica(config, replica)
-        hierarchy = _block_fields(config, replica)
-        density = measure.chaos_density(hierarchy, config.gamma)
-        assert record.coefficients.tobytes() == spectral.fourier_coefficients(density, config.n_max).tobytes()
-        assert record.total_mass == float(density.mean())
-        assert record.level_mass_sq.tobytes() == measure.l2_sums(density, config.mass_levels).tobytes()
-        for depth, value in zip(config.norm_depths, record.norm_powers):
-            part = measure.chaos_density(hierarchy, config.gamma, depth=depth)
-            coefficients = spectral.fourier_coefficients(part, config.n_max)
-            assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
+        for work in (None, np.full(6 * config.grid_size + 2, np.nan)):
+            record = harness.run_replica(config, replica, work)
+            hierarchy = _block_fields(config, replica)
+            density = measure.chaos_density(hierarchy, config.gamma)
+            assert record.coefficients.tobytes() == spectral.fourier_coefficients(density, config.n_max).tobytes()
+            assert record.total_mass == float(density.mean())
+            assert record.level_mass_sq.tobytes() == measure.l2_sums(density, config.mass_levels).tobytes()
+            for depth, value in zip(config.norm_depths, record.norm_powers):
+                part = measure.chaos_density(hierarchy, config.gamma, depth=depth)
+                coefficients = spectral.fourier_coefficients(part, config.n_max)
+                assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
 
 
 def test_run_replica_peak_memory():
@@ -459,15 +473,19 @@ WORK_CONFIG = dict(
 )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_work_arrays_carry_nothing_between_blocks_or_replicas(tmp_path, workers):
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_work_arrays_carry_nothing_between_blocks_or_replicas(tmp_path, monkeypatch, workers):
     # the 1.125G blocks colour in slices of the 2G block's arrays, and every
-    # replica's running exponent must restart at zero
+    # replica's running exponent must restart at zero; each worker runs its
+    # replicas in one work array, and no more workers start than replicas
     config = harness.ExperimentConfig(**WORK_CONFIG, replicas=7)
     singles = [harness._singleton(config, harness.run_replica(config, i)) for i in range(7)]
     harness.export_result(harness._tree_reduce(singles, config), "json", tmp_path / "standalone.json")
+    works, run_replica = [], harness.run_replica
+    monkeypatch.setattr(harness, "run_replica", lambda *args: works.append(args[2]) or run_replica(*args))
     harness.export_result(harness.run_ensemble(config, workers=workers), "json", tmp_path / "run.json")
     assert (tmp_path / "run.json").read_bytes() == (tmp_path / "standalone.json").read_bytes()
+    assert len(works) == 7 and len({id(work) for work in works}) == min(workers, 7)
 
 
 def test_replica_in_an_ensemble_allocates_no_grid_array(monkeypatch):
@@ -475,10 +493,10 @@ def test_replica_in_an_ensemble_allocates_no_grid_array(monkeypatch):
     harness.run_replica(config, 0)  # fills the filter cache and the FFT plans
     peaks, run_replica = [], harness.run_replica
 
-    def traced(config, i):
+    def traced(config, i, work):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        record = run_replica(config, i)
+        record = run_replica(config, i, work)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
         return record
 
@@ -741,14 +759,37 @@ def test_load_refuses_malformed_counts_and_histograms(tmp_path, change, message)
 
 @pytest.mark.parametrize(
     "replica_range, message",
-    [((5, 2), r"0 <= lo <= hi, got \(5, 2\)"), ((-2, 1), r"0 <= lo <= hi, got \(-2, 1\)")],
-    ids=["hi-below-lo", "lo-negative"],
+    [
+        ((5, 2), r"0 <= lo <= hi, got \(5, 2\)"),
+        ((-2, 1), r"0 <= lo <= hi, got \(-2, 1\)"),
+        ((0.5, 2), "replica_range entry must be an integer, got 0.5"),
+        ((0, "2"), "replica_range entry must be an integer, got '2'"),
+    ],
+    ids=["hi-below-lo", "lo-negative", "lo-float", "hi-string"],
 )
 def test_run_ensemble_refuses_bad_replica_range_before_any_replica(monkeypatch, replica_range, message):
     calls = []
     monkeypatch.setattr(harness, "run_replica", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=message):
         harness.run_ensemble(small_config(), replica_range)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "workers, message",
+    [
+        (0, "workers must be at least 1, got 0"),
+        (2.5, "workers must be an integer, got 2.5"),
+        (True, "workers must be an integer, got True"),
+        ("2", "workers must be an integer, got '2'"),
+    ],
+    ids=["zero", "float", "bool", "string"],
+)
+def test_run_ensemble_refuses_bad_workers_before_any_replica(monkeypatch, workers, message):
+    calls = []
+    monkeypatch.setattr(harness, "run_replica", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        harness.run_ensemble(small_config(), workers=workers)
     assert calls == []
 
 
