@@ -34,7 +34,6 @@ from .geometry import (
     level_support,
     level_variance,
     overlap_quadrature,
-    region_difference_measure,
 )
 from .harness import (
     EnsembleResult,
@@ -52,7 +51,6 @@ from .measure import (
     frostman_scan,
     holder_moment_probe,
     holder_moment_quadrature,
-    interval_mass,
     l2_sums,
     weight_field,
     weight_moment,
@@ -66,11 +64,8 @@ from .sampler import (
     covariance_sequence,
     embedding_period,
     embedding_spectrum,
-    read_hierarchy,
     sample_hierarchy,
     sample_level,
-    sample_level_dense,
-    write_hierarchy,
 )
 from .spectral import (
     DyadicInterval,
@@ -84,7 +79,6 @@ from .spectral import (
     second_moment,
     segment_integral,
     separation_bound,
-    write_separation_json,
     write_spectrum_csv,
 )
 

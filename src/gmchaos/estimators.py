@@ -177,13 +177,7 @@ def dyadic_block_fit(block_stat, n_lo: int, n_hi: int, n_max: int, statistic: st
     return _slope_fit(blocks, statistic)
 
 
-def decay_slope(
-    abs2,
-    n_lo: int,
-    n_hi: int,
-    statistic: str = "median",
-    q: float | None = None,
-) -> SlopeFit:
+def decay_slope(abs2, n_lo: int, n_hi: int, statistic: str = "median") -> SlopeFit:
     """Dyadic-block regression of log |mu_hat(n)|^2 against log n.
 
     `abs2` holds |mu_hat(n)|^2 with columns n = 1.. (one row per replica).
@@ -192,20 +186,17 @@ def decay_slope(
     """
     data = np.atleast_2d(np.asarray(abs2, dtype=float))
     replicas, n_max = data.shape
-    if statistic == "quantile" and q is None:
-        raise ValueError("quantile statistic needs q")
-    if statistic in ("median", "quantile") and replicas < 30:
-        raise ValueError(f"{statistic} statistic needs at least 30 replicas, got {replicas}")
-    reducers = {"mean": np.mean, "median": np.median, "quantile": lambda x: np.quantile(x, q)}
+    reducers = {"mean": np.mean, "median": np.median}
     if statistic not in reducers:
-        raise ValueError(f"statistic must be mean, median or quantile, got {statistic!r}")
+        raise ValueError(f"statistic must be mean or median, got {statistic!r}")
+    if statistic == "median" and replicas < 30:
+        raise ValueError(f"median statistic needs at least 30 replicas, got {replicas}")
     columns = spectral.block_columns(n_max)
 
     def block_stat(a: int) -> float:
         return float(reducers[statistic](np.log(np.maximum(data[:, columns[a]], LOG_FLOOR))))
 
-    label = f"quantile({q})" if statistic == "quantile" else statistic
-    return dyadic_block_fit(block_stat, n_lo, n_hi, n_max, label)
+    return dyadic_block_fit(block_stat, n_lo, n_hi, n_max, statistic)
 
 
 def validate_l2_levels(levels) -> list[int]:

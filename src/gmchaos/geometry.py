@@ -90,19 +90,6 @@ def cumulative_covariance(m: int, h):
     return float(out) if np.isscalar(h) or np.ndim(h) == 0 else out
 
 
-def region_difference_measure(j: int, t):
-    """Hyperbolic area of a level-j strip minus its translate by t.
-
-    Valid for 0 <= t <= 2^-j; equals t at level 0 and 2^(j-1) t above.
-    """
-    j = _check_level(j)
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 2.0 ** (-j)):
-        raise ValueError(f"offset must lie in [0, 2^-{j}]")
-    out = arr if j == 0 else arr * 2.0 ** (j - 1)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
 @dataclass(frozen=True)
 class OverlapQuadrature:
     """Numeric strip-overlap area plus the quadrature metadata."""

@@ -354,7 +354,10 @@ def run_ensemble(
     """
     if workers is not None and _integer(workers, "workers") < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    lo, hi = replica_range if replica_range is not None else (0, config.replicas)
+    try:
+        lo, hi = replica_range if replica_range is not None else (0, config.replicas)
+    except (TypeError, ValueError):
+        raise ValueError(f"replica_range must be a (lo, hi) pair, got {replica_range!r}") from None
     lo, hi = _integer(lo, "replica_range entry"), _integer(hi, "replica_range entry")
     if not 0 <= lo <= hi:
         raise ValueError(f"replica_range must have 0 <= lo <= hi, got ({lo}, {hi})")

@@ -4,7 +4,7 @@ The depth-m density is the product over levels j <= m of
 exp(gamma * field_j - gamma^2/2 * var_j); each factor has unit mean, so the
 density is a positive unit-mean martingale in the depth.  A density is the
 array of its grid values, on the grid GridSpec(values.size).  Measure queries
-(interval masses, dyadic scans) use the left-endpoint rectangle rule, which
+(dyadic masses and scans) use the left-endpoint rectangle rule, which
 makes dyadic additivity and the spectral decomposition identities exact at
 grid level.
 
@@ -68,25 +68,6 @@ def chaos_density(hierarchy: FieldHierarchy, gamma: float, depth: int | None = N
     variances = hierarchy.variances[: last + 1]
     exponent = gamma * rows.sum(axis=0) - 0.5 * gamma**2 * variances.sum()
     return np.exp(exponent)
-
-
-def _grid_index(x: float, grid: GridSpec) -> int:
-    scaled = x * grid.size
-    idx = round(scaled)
-    if abs(scaled - idx) > 1e-9:
-        raise ValueError(f"endpoint {x!r} is not aligned with the grid of size {grid.size}")
-    return idx
-
-
-def interval_mass(density: np.ndarray, interval: tuple[float, float]) -> float:
-    """Rectangle-rule mass of a grid-aligned interval [a, b) in [0, 1]."""
-    grid = GridSpec(density.size)
-    a, b = interval
-    if not 0.0 <= a <= b <= 1.0:
-        raise ValueError(f"interval {interval!r} must satisfy 0 <= a <= b <= 1")
-    ia = _grid_index(a, grid)
-    ib = _grid_index(b, grid)
-    return float(density[ia:ib].sum()) / grid.size
 
 
 def dyadic_masses(density: np.ndarray, level: int) -> np.ndarray:

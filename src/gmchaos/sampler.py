@@ -28,15 +28,11 @@ block, about 1.6 MiB for the five blocks of a grid-2^16 replica with four
 norm depths.  Blocks are coloured in a work array of
 :func:`scratch_size` floats, which a caller that colours many blocks can
 hand :func:`block_fields` to reuse.
-
-A dense eigenfactorization sampler over small grids is included as a
-cross-validation utility; it is not the production path.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,9 +43,6 @@ from . import geometry, rng
 # Relative clamp for embedding eigenvalues: absorbs DFT round-off of an
 # exactly-PSD sequence, small enough to flag real negativity.
 EPS_CLAMP = 1e-8
-
-_DENSE_LIMIT = 512
-_BINARY_HEADER = struct.Struct("<qqqq")  # grid size, depth, seed, replica
 
 
 class NotEmbeddableError(ValueError):
@@ -82,16 +75,15 @@ class FieldHierarchy:
 
     Row i holds the sum of the levels after breaks[i - 1] up to breaks[i]
     at the grid points (default breaks 0..depth: row j is level j), and
-    variances[i] its pointwise variance.  Rows are independent and the
-    whole object is regenerated bit-for-bit from (seed, replica).
+    variances[i] its pointwise variance.  Rows are independent.  The
+    object does not record the seed and replica it was drawn with; the
+    same sample_blocks call regenerates it bit for bit.
     """
 
     grid: GridSpec
     depth: int
     samples: np.ndarray
     variances: np.ndarray
-    seed: int
-    replica: int
     breaks: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -237,9 +229,7 @@ def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldH
     rows = np.empty((len(breaks), grid.size))
     for i in range(len(breaks)):
         _, variances[i], rows[i] = next(fields)
-    return FieldHierarchy(
-        grid, int(breaks[-1]), rows, variances, int(seed), int(replica), tuple(map(int, breaks))
-    )
+    return FieldHierarchy(grid, int(breaks[-1]), rows, variances, tuple(map(int, breaks)))
 
 
 def sample_level(j: int, grid: GridSpec, seed: int, replica: int = 0) -> np.ndarray:
@@ -253,54 +243,3 @@ def sample_hierarchy(m: int, grid: GridSpec, seed: int, replica: int = 0) -> Fie
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"depth must be a non-negative integer, got {m!r}")
     return sample_blocks(range(m + 1), grid, seed, replica)
-
-
-def sample_level_dense(j: int, grid: GridSpec, seed: int, replica: int = 0) -> np.ndarray:
-    """Dense-factorization draw of the level-j field (test utility).
-
-    Builds the full grid covariance matrix from the closed form and
-    factors it by symmetric eigendecomposition.  Same law as
-    :func:`sample_level`, different path and different stream usage;
-    limited to small grids.
-    """
-    if grid.size > _DENSE_LIMIT:
-        raise ValueError(f"dense sampler limited to grids of size <= {_DENSE_LIMIT}")
-    t = grid.times()
-    cov = geometry.level_covariance(j, np.abs(t[:, None] - t[None, :]))
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.maximum(vals, 0.0)
-    factor = vecs * np.sqrt(vals)
-    gen = rng.field_stream(seed, replica, j)
-    return factor @ gen.standard_normal(grid.size)
-
-
-def write_hierarchy(hierarchy: FieldHierarchy, path) -> None:
-    """Binary dump: little-endian (size, depth, seed, replica) header, then
-    the level rows as row-major float64.  The header records no breaks, so
-    a hierarchy of multi-level blocks is refused."""
-    if not hierarchy.per_level:
-        raise ValueError(f"the dump holds level rows, not blocks ending at {hierarchy.breaks}")
-    with open(path, "wb") as fh:
-        fh.write(
-            _BINARY_HEADER.pack(hierarchy.grid.size, hierarchy.depth, hierarchy.seed, hierarchy.replica)
-        )
-        fh.write(hierarchy.samples.astype("<f8").tobytes())
-
-
-def read_hierarchy(path) -> FieldHierarchy:
-    """Read back a binary dump written by :func:`write_hierarchy`."""
-    with open(path, "rb") as fh:
-        header = fh.read(_BINARY_HEADER.size)
-        if len(header) < _BINARY_HEADER.size:
-            raise ValueError(f"dump {path} is shorter than its {_BINARY_HEADER.size}-byte header")
-        size, depth, seed, replica = _BINARY_HEADER.unpack(header)
-        if min(depth, seed, replica) < 0:
-            why = f"depth {depth}, seed {seed}, replica {replica}"
-            raise ValueError(f"dump {path} header has {why}; none may be negative")
-        data = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-    needed = (depth + 1) * size
-    if data.size != needed:
-        raise ValueError(f"payload of {data.size} values; header needs {depth + 1} x {size} = {needed}")
-    rows = data.reshape(depth + 1, size)
-    variances = np.array([geometry.level_variance(j) for j in range(depth + 1)])
-    return FieldHierarchy(GridSpec(size), depth, rows, variances, seed, replica)

@@ -15,9 +15,8 @@ frequency weights and pathwise scalars.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -335,13 +334,3 @@ def write_spectrum_csv(coefficients: np.ndarray, path) -> None:
                 [n, repr(float(c.real)), repr(float(c.imag)), repr(float(abs(c) ** 2)), repr(float(w))]
             )
 
-
-def separation_to_dict(comp: SeparationComponents) -> dict:
-    data = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(comp).items()}
-    return {**data, "all_satisfied": comp.all_satisfied}
-
-
-def write_separation_json(comp: SeparationComponents, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(separation_to_dict(comp), fh, indent=2)
-        fh.write("\n")

@@ -130,14 +130,6 @@ def test_decay_slope_noisy_power_law():
     assert abs(fit_med.slope + 0.75) < 0.02
 
 
-def test_decay_slope_quantile_statistic():
-    n = np.arange(1, 1025)
-    abs2 = np.tile(n**-0.5, (40, 1))
-    fit = estimators.decay_slope(abs2, 8, 1024, statistic="quantile", q=0.75)
-    assert abs(fit.slope + 0.5) < 0.01
-    assert fit.statistic == "quantile(0.75)"
-
-
 def test_decay_slope_preconditions():
     data = np.ones((40, 256))
     with pytest.raises(ValueError):
@@ -146,8 +138,8 @@ def test_decay_slope_preconditions():
         estimators.decay_slope(np.ones((10, 256)), 8, 256, statistic="median")
     with pytest.raises(ValueError):
         estimators.decay_slope(data, 8, 512, statistic="mean")  # beyond data
-    with pytest.raises(ValueError):
-        estimators.decay_slope(data, 8, 256, statistic="quantile")  # missing q
+    with pytest.raises(ValueError, match="statistic must be mean or median, got 'quantile'"):
+        estimators.decay_slope(data, 8, 256, statistic="quantile")
 
 
 def test_l2_slope_uniform_density():

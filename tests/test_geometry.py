@@ -94,27 +94,13 @@ def test_level_index_validated():
         geometry.level_variance(-2)
 
 
-@pytest.mark.parametrize(
-    "j,t,expected",
-    [(3, 0.05, 0.2), (0, 0.1, 0.1), (5, 0.0, 0.0), (1, 0.5, 0.5)],
-)
-def test_region_difference_values(j, t, expected):
-    assert geometry.region_difference_measure(j, t) == pytest.approx(expected, abs=1e-12)
-
-
-def test_region_difference_range_check():
-    with pytest.raises(ValueError):
-        geometry.region_difference_measure(3, 0.2)  # above 2^-3
-    with pytest.raises(ValueError):
-        geometry.region_difference_measure(0, -0.1)
-
-
 def test_region_difference_consistent_with_covariance():
-    # area(strip) - overlap(t) equals the difference-region area
+    # below lag 2^-j the variance minus the covariance is the area of a
+    # strip minus its translate by t: t at level 0, 2^(j-1) t above
     for j in range(6):
         for t in np.linspace(0.0, 2.0**-j, 9):
-            diff = geometry.level_variance(j) - geometry.level_covariance(j, t)
-            assert diff == pytest.approx(geometry.region_difference_measure(j, t), abs=1e-12)
+            deficit = geometry.level_variance(j) - geometry.level_covariance(j, t)
+            assert deficit == pytest.approx(t if j == 0 else 2.0 ** (j - 1) * t, abs=1e-12)
 
 
 def test_quadrature_examples():

@@ -764,8 +764,10 @@ def test_load_refuses_malformed_counts_and_histograms(tmp_path, change, message)
         ((-2, 1), r"0 <= lo <= hi, got \(-2, 1\)"),
         ((0.5, 2), "replica_range entry must be an integer, got 0.5"),
         ((0, "2"), "replica_range entry must be an integer, got '2'"),
+        (3, r"replica_range must be a \(lo, hi\) pair, got 3"),
+        ((0, 1, 2), r"replica_range must be a \(lo, hi\) pair, got \(0, 1, 2\)"),
     ],
-    ids=["hi-below-lo", "lo-negative", "lo-float", "hi-string"],
+    ids=["hi-below-lo", "lo-negative", "lo-float", "hi-string", "not-a-pair", "triple"],
 )
 def test_run_ensemble_refuses_bad_replica_range_before_any_replica(monkeypatch, replica_range, message):
     calls = []

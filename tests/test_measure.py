@@ -103,45 +103,25 @@ def test_total_mass_constant_across_depths():
         assert abs(diff.mean()) <= 3 * se
 
 
-def test_interval_mass_uniform(hierarchy):
-    density = measure.chaos_density(hierarchy, 0.0)
-    assert measure.interval_mass(density, (0.25, 0.5)) == pytest.approx(0.25, abs=1e-15)
-    assert measure.interval_mass(density, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_interval_mass_additivity(hierarchy):
-    density = measure.chaos_density(hierarchy, 0.8)
-    total = measure.interval_mass(density, (0.0, 1.0))
-    parts = sum(
-        measure.interval_mass(density, (k / 8, (k + 1) / 8)) for k in range(8)
-    )
-    assert parts == pytest.approx(total, abs=1e-14)
-
-
-def test_interval_mass_misaligned_rejected(hierarchy):
-    density = measure.chaos_density(hierarchy, 0.5)
-    with pytest.raises(ValueError):
-        measure.interval_mass(density, (0.1000001, 0.5))
-    with pytest.raises(ValueError):
-        measure.interval_mass(density, (-0.25, 0.5))
-
-
 def test_half_interval_mass_ensemble_mean():
     grid = sampler.GridSpec(128)
     n = 2000
     masses = np.empty(n)
     for r in range(n):
         h = sampler.sample_hierarchy(6, grid, seed=13, replica=r)
-        masses[r] = measure.interval_mass(measure.chaos_density(h, 0.5), (0.0, 0.5))
+        masses[r] = measure.dyadic_masses(measure.chaos_density(h, 0.5), 1)[0]
     se = masses.std(ddof=1) / math.sqrt(n)
     assert abs(masses.mean() - 0.5) <= 3 * se
 
 
 def test_dyadic_masses(hierarchy):
+    uniform = measure.chaos_density(hierarchy, 0.0)
+    assert measure.dyadic_masses(uniform, 2) == pytest.approx([0.25] * 4, abs=1e-15)
+    assert measure.dyadic_masses(uniform, 0)[0] == pytest.approx(1.0, abs=1e-15)
     density = measure.chaos_density(hierarchy, 0.9)
     masses = measure.dyadic_masses(density, 3)
     assert masses.size == 8
-    assert masses.sum() == pytest.approx(measure.interval_mass(density, (0.0, 1.0)), abs=1e-14)
+    assert masses.sum() == pytest.approx(measure.dyadic_masses(density, 0)[0], abs=1e-14)
     with pytest.raises(ValueError):
         measure.dyadic_masses(density, 9)  # finer than the 256-point grid
 
