@@ -46,31 +46,29 @@ from .harness import (
     run_replica,
 )
 from .measure import (
-    chaos_density,
+    densities,
     dyadic_masses,
     frostman_scan,
     holder_moment_probe,
     holder_moment_quadrature,
     l2_sums,
-    weight_field,
     weight_moment,
     weight_moment_mc,
     write_density_csv,
 )
 from .sampler import (
-    FieldHierarchy,
     GridSpec,
     NotEmbeddableError,
+    block_fields,
     covariance_sequence,
     embedding_period,
     embedding_spectrum,
-    sample_hierarchy,
-    sample_level,
 )
 from .spectral import (
     DyadicInterval,
     SeparationComponents,
     abel_segment_transform,
+    centered_profile,
     dyadic_family,
     fourier_coefficients,
     localized_vector,

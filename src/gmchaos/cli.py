@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: verify (exact/closed-form suites), simulate (one replica),
-spectrum (ensemble statistics), dims (slope estimates as JSON), clt
-(rescaling profile) and report (re-derive fits from an archived ensemble).
+Subcommands: verify (exact/closed-form suites), simulate (one replica,
+levels 0..m drawn one at a time), spectrum (ensemble statistics), dims
+(slope estimates as JSON), clt (rescaling profile) and report (re-derive
+fits from an archived ensemble).
 build_parser declares every option once. A flat key = value config file
 (`--config`) is read as flags placed right after the subcommand, so its
 values are checked like flags and explicit flags win.
@@ -19,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, geometry, harness, measure, spectral
-from .sampler import (
-    GridSpec,
-    covariance_sequence,
-    embedding_period,
-    embedding_spectrum,
-    sample_hierarchy,
-)
+from .sampler import GridSpec, block_fields, covariance_sequence, embedding_period, embedding_spectrum
 
 
 def _config_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
@@ -149,17 +144,18 @@ def _check_moments(seed: int) -> str:
 
 
 def _check_decomposition(seed: int) -> str:
-    hierarchy = sample_hierarchy(6, GridSpec(1024), seed)
     gamma, tau, n_max = 0.6, 0.4, 64
     weights = spectral.decay_weights(n_max, tau)
-    densities = [measure.chaos_density(hierarchy, gamma, k) for k in range(7)]
-    weighted = [weights * spectral.fourier_coefficients(d, n_max) for d in densities]
     worst = 0.0
-    for k in range(1, 7):
-        total = np.zeros(n_max, dtype=complex)
-        for interval in spectral.dyadic_family(k - 1):
-            total += spectral.localized_vector(hierarchy, gamma, interval, tau, n_max)
-        worst = max(worst, float(np.max(np.abs(total - (weighted[k] - weighted[k - 1])))))
+    for k, variance, field, density in measure.densities(gamma, block_fields(range(7), GridSpec(1024), seed)):
+        weighted = weights * spectral.fourier_coefficients(density, n_max)
+        if k:
+            profile = spectral.centered_profile(prev, gamma, field, variance)
+            total = np.zeros(n_max, dtype=complex)
+            for interval in spectral.dyadic_family(k - 1):
+                total += spectral.localized_vector(profile, interval, tau, n_max)
+            worst = max(worst, float(np.max(np.abs(total - (weighted - low)))))
+        prev, low = density.copy(), weighted
     if worst > 1e-10:
         raise AssertionError(f"increment decomposition defect {worst:.2e}")
     return f"max increment defect = {worst:.2e}"
@@ -213,8 +209,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"depth must be a non-negative integer, got {args.m}")
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
-    hierarchy = sample_hierarchy(args.m, grid, args.seed)
-    density = measure.chaos_density(hierarchy, args.gamma)
+    for _, _, _, density in measure.densities(args.gamma, block_fields(range(args.m + 1), grid, args.seed)):
+        pass  # levels 0..m one at a time; the last density is depth m's
     spectrum = spectral.fourier_coefficients(density, grid.size // spectral.NYQUIST_FRACTION)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -177,6 +177,14 @@ def dyadic_block_fit(block_stat, n_lo: int, n_hi: int, n_max: int, statistic: st
     return _slope_fit(blocks, statistic)
 
 
+def validate_statistic(statistic: str) -> str:
+    """The per-block statistic of a decay fit, once it is checked to be mean
+    or median."""
+    if statistic not in ("mean", "median"):
+        raise ValueError(f"statistic must be mean or median, got {statistic!r}")
+    return statistic
+
+
 def decay_slope(abs2, n_lo: int, n_hi: int, statistic: str = "median") -> SlopeFit:
     """Dyadic-block regression of log |mu_hat(n)|^2 against log n.
 
@@ -186,15 +194,13 @@ def decay_slope(abs2, n_lo: int, n_hi: int, statistic: str = "median") -> SlopeF
     """
     data = np.atleast_2d(np.asarray(abs2, dtype=float))
     replicas, n_max = data.shape
-    reducers = {"mean": np.mean, "median": np.median}
-    if statistic not in reducers:
-        raise ValueError(f"statistic must be mean or median, got {statistic!r}")
+    reducer = {"mean": np.mean, "median": np.median}[validate_statistic(statistic)]
     if statistic == "median" and replicas < 30:
         raise ValueError(f"median statistic needs at least 30 replicas, got {replicas}")
     columns = spectral.block_columns(n_max)
 
     def block_stat(a: int) -> float:
-        return float(reducers[statistic](np.log(np.maximum(data[:, columns[a]], LOG_FLOOR))))
+        return float(reducer(np.log(np.maximum(data[:, columns[a]], LOG_FLOOR))))
 
     return dyadic_block_fit(block_stat, n_lo, n_hi, n_max, statistic)
 

@@ -27,7 +27,7 @@ Y_CUTOFF = 1.0e4
 
 
 def _check_level(j: int) -> int:
-    if not isinstance(j, (int, np.integer)) or j < 0:
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0:
         raise ValueError(f"level index must be a non-negative integer, got {j!r}")
     return int(j)
 

@@ -1,15 +1,16 @@
 """Deterministic Monte Carlo orchestration, aggregation and persistence.
 
 A replica is a pure function of (config, replica id); it samples one field
-block per depth it reads, not one field per level.  An ensemble is the
-reduction of its replicas through a fixed pairwise summation tree, so the
-result is byte-identical no matter how the replicas were scheduled.  With
-several workers the replicas run on threads of the calling process: numpy's
-FFTs, normal draws and exp release the interpreter lock, and all threads
-share the sampler's cache of block filters.  Each worker, the calling
-thread when serial, runs one contiguous run of replica ids in one work
-array, passed to run_replica, in which it colours, exponentiates and
-transforms every replica of the run.
+block per depth it reads, not one field per level, and streams the blocks
+through measure.densities, so it never holds more than one block.  An
+ensemble is the reduction of its replicas through a fixed pairwise
+summation tree, so the result is byte-identical no matter how the replicas
+were scheduled.  With several workers the replicas run on threads of the
+calling process: numpy's FFTs, normal draws and exp release the interpreter
+lock, and all threads share the sampler's cache of block filters.  Each
+worker, the calling thread when serial, runs one contiguous run of replica
+ids in one work array, passed to run_replica, in which it colours,
+exponentiates and transforms every replica of the run.
 Aggregates are mergeable: counts and histograms merge exactly, floating
 accumulators merge associatively to rounding.
 
@@ -77,8 +78,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         spectral._check_tau(self.tau)
-        if self.statistic not in ("mean", "median"):
-            raise ValueError(f"statistic must be mean or median, got {self.statistic!r}")
+        estimators.validate_statistic(self.statistic)
         for name in ("norm_depths", "mass_levels"):
             entries = getattr(self, name)
             if not np.iterable(entries):
@@ -250,33 +250,24 @@ def run_replica(config: ExperimentConfig, replica_id: int, work: np.ndarray | No
     """One replica: field blocks, density, spectrum and derived statistics.
 
     Only the depths the replica reads are sampled: one field per block of
-    levels ending at a norm depth or at the construction depth.  Each block
-    is added in level order into one running exponent, and each read
-    depth's density exp(gamma * sum - gamma^2/2 * variance) is taken from it:
-    bit for bit measure.chaos_density of the stacked blocks, without holding
-    them.  Every grid-sized array is a slice of `work`, a float64 array of
-    6G + 2 entries whose contents do not matter (None allocates one): the
-    sampler's scratch, then the exponent and the density.  Each density's
-    real FFT is taken into the head of the scratch, spent by then.
-    Deterministic in (config.seed, replica_id); every stochastic stream is
-    keyed by that pair.
+    levels ending at a norm depth or at the construction depth, streamed
+    through measure.densities.  Every grid-sized array is a slice of
+    `work`, a float64 array of 6G + 2 entries whose contents do not matter
+    (None allocates one): the sampler's scratch, then the running exponent
+    and the density.  Each density's real FFT is taken into the head of the
+    scratch, spent by then.  Deterministic in (config.seed, replica_id);
+    every stochastic stream is keyed by that pair.
     """
     g = config.grid_size
     work = _work(config.grid) if work is None else work
     if work.dtype != float or work.shape != (scratch_size(config.grid) + 2 * g,):
         raise ValueError(f"work must be a float64 array of 6G + 2 entries for grid size {g}")
-    exponent, density, spectrum = work[-2 * g : -g], work[-g:], work[: g + 2].view(complex)
-    exponent.fill(0.0)
+    spectrum = work[: g + 2].view(complex)
     depths = sorted({*config.norm_depths, config.depth})
+    fields = block_fields(depths, config.grid, config.seed, replica_id, work)
     plan = config.exponents()
     norms = np.zeros(len(config.norm_depths))
-    variances = []
-    for depth, variance, block in block_fields(depths, config.grid, config.seed, replica_id, work):
-        exponent += block
-        variances.append(variance)
-        np.multiply(exponent, config.gamma, out=density)
-        density -= 0.5 * config.gamma**2 * np.sum(variances)
-        np.exp(density, out=density)
+    for depth, _, _, density in measure.densities(config.gamma, fields, work[-2 * g :]):
         if plan is not None and depth in config.norm_depths:
             coefficients = spectral.fourier_coefficients(density, config.n_max, spectrum)
             norms[config.norm_depths.index(depth)] = estimators.norm_powers(

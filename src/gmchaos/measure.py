@@ -2,11 +2,13 @@
 
 The depth-m density is the product over levels j <= m of
 exp(gamma * field_j - gamma^2/2 * var_j); each factor has unit mean, so the
-density is a positive unit-mean martingale in the depth.  A density is the
-array of its grid values, on the grid GridSpec(values.size).  Measure queries
-(dyadic masses and scans) use the left-endpoint rectangle rule, which
-makes dyadic additivity and the spectral decomposition identities exact at
-grid level.
+density is a positive unit-mean martingale in the depth.  :func:`densities`
+is the one path from fields to densities: it streams the blocks of
+sampler.block_fields through one running exponent and yields the density
+at each depth they end at.  A density is the array of its grid values, on
+the grid GridSpec(values.size).  Measure queries (dyadic masses and scans)
+use the left-endpoint rectangle rule, which makes dyadic additivity and the
+spectral decomposition identities exact at grid level.
 
 Moment and regularity probes sample exact low-dimensional Gaussians from the
 closed-form covariances instead of grid fields, so their statistics carry no
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from . import geometry, rng
-from .sampler import FieldHierarchy, GridSpec
+from .sampler import GridSpec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -44,30 +46,37 @@ def validate_gamma(gamma: float, bound: tuple[bool, float, str] = SUBCRITICAL) -
     return g
 
 
-def weight_field(hierarchy: FieldHierarchy, j: int, gamma: float) -> np.ndarray:
-    """Unit-mean multiplicative weight of level j on the grid."""
-    validate_gamma(gamma)
-    row = hierarchy.level(j)
-    return np.exp(gamma * row - 0.5 * gamma**2 * hierarchy.variances[j])
+def densities(gamma: float, fields, work: np.ndarray | None = None):
+    """Iterator over (depth, variance, field, density) for the (depth,
+    variance, field) blocks of `fields`, in order (sampler.block_fields
+    yields them): the density is the product of the level weights up to
+    that depth.
 
-
-def chaos_density(hierarchy: FieldHierarchy, gamma: float, depth: int | None = None) -> np.ndarray:
-    """Grid values of the product of the level weights up to `depth`
-    (default: full hierarchy), which must be one of the hierarchy's breaks.
-
-    The exponent is accumulated across rows and exponentiated once, so
-    deep or large-gamma products cannot overflow factor by factor.
+    The fields are added into one running exponent, and each density is
+    exp(gamma * exponent - gamma^2/2 * summed variance), exponentiated once,
+    so deep or large-gamma products cannot overflow factor by factor.  The
+    exponent and the density are the two halves of `work`, a float64 array
+    of 2G entries whose contents do not matter (None allocates one), so no
+    grid-sized array is allocated per block and the density is valid only
+    until the iterator advances.  Gamma is checked before the first field
+    is drawn, the work array once that field gives G.
     """
     validate_gamma(gamma)
-    if depth is None:
-        depth = hierarchy.depth
-    if depth not in hierarchy.breaks:
-        raise ValueError(f"depth {depth} is not one of the sampled depths {hierarchy.breaks}")
-    last = hierarchy.breaks.index(depth)
-    rows = hierarchy.samples[: last + 1]
-    variances = hierarchy.variances[: last + 1]
-    exponent = gamma * rows.sum(axis=0) - 0.5 * gamma**2 * variances.sum()
-    return np.exp(exponent)
+    variances = []
+    for depth, variance, field in fields:
+        if not variances:
+            g = field.size
+            work = np.empty(2 * g) if work is None else work
+            if work.dtype != float or work.shape != (2 * g,):
+                raise ValueError(f"work must be a float64 array of 2G entries for grid size {g}")
+            exponent, density = work[:g], work[g:]
+            exponent.fill(0.0)
+        exponent += field
+        variances.append(variance)
+        np.multiply(exponent, gamma, out=density)
+        density -= 0.5 * gamma**2 * np.sum(variances)
+        np.exp(density, out=density)
+        yield depth, variance, field, density
 
 
 def dyadic_masses(density: np.ndarray, level: int) -> np.ndarray:

@@ -20,14 +20,13 @@ so 2G for blocks starting at level 0 or 1, 1.5G at level 2, 1.25G at
 level 3 and 1.125G from level 4 on.
 
 The levels are independent, so a block of levels lo..hi is one stationary
-field with the summed eigenvalues.  :func:`block_fields` colours blocks one
-at a time and :func:`sample_blocks` stacks them; a one-level block is
-:func:`sample_level`, and :func:`sample_hierarchy` is all levels one by
-one.  The sampler keeps one colouring filter of P/2 + 1 floats per distinct
-block, about 1.6 MiB for the five blocks of a grid-2^16 replica with four
-norm depths.  Blocks are coloured in a work array of
-:func:`scratch_size` floats, which a caller that colours many blocks can
-hand :func:`block_fields` to reuse.
+field with the summed eigenvalues.  :func:`block_fields` is the one
+sampler: it colours the blocks ending at any increasing depths one at a
+time, and breaks 0..m are the levels one by one, each from its own stream.
+It keeps one colouring filter of P/2 + 1 floats per distinct block, about
+1.6 MiB for the five blocks of a grid-2^16 replica with four norm depths.
+Blocks are coloured in a work array of :func:`scratch_size` floats, which
+a caller that colours many blocks can hand :func:`block_fields` to reuse.
 """
 
 from __future__ import annotations
@@ -67,41 +66,6 @@ class GridSpec:
 
     def times(self) -> np.ndarray:
         return np.arange(self.size) / self.size
-
-
-@dataclass(frozen=True)
-class FieldHierarchy:
-    """Blocks of levels 0..depth of the field sampled on one grid, one replica.
-
-    Row i holds the sum of the levels after breaks[i - 1] up to breaks[i]
-    at the grid points (default breaks 0..depth: row j is level j), and
-    variances[i] its pointwise variance.  Rows are independent.  The
-    object does not record the seed and replica it was drawn with; the
-    same sample_blocks call regenerates it bit for bit.
-    """
-
-    grid: GridSpec
-    depth: int
-    samples: np.ndarray
-    variances: np.ndarray
-    breaks: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.breaks is None:
-            object.__setattr__(self, "breaks", tuple(range(self.depth + 1)))
-        self.samples.setflags(write=False)
-        self.variances.setflags(write=False)
-
-    @property
-    def per_level(self) -> bool:
-        return self.breaks == tuple(range(self.depth + 1))
-
-    def level(self, j: int) -> np.ndarray:
-        if not self.per_level:
-            raise ValueError(f"rows are blocks ending at depths {self.breaks}, not single levels")
-        if not 0 <= j <= self.depth:
-            raise ValueError(f"level {j} outside 0..{self.depth}")
-        return self.samples[j]
 
 
 def embedding_period(lo: int, grid: GridSpec) -> int:
@@ -198,48 +162,24 @@ def block_fields(breaks, grid: GridSpec, seed: int, replica: int = 0, work: np.n
     block, coloured as the iterator advances.
 
     Block i holds the levels breaks[i - 1] + 1 .. breaks[i] (from level 0
-    for i = 0), and its variance is the sum of theirs.  Every block is
+    for i = 0), and its variance is the sum of theirs; breaks 0..m draw
+    the levels one at a time, each from its own stream.  Every block is
     coloured in the first scratch_size(grid) floats of the float64 array
     `work` (None allocates one), so a field is a view into it, valid only
-    until the iterator advances.  The breaks are checked before this
-    returns.
+    until the iterator advances.  Each break is checked as a level index
+    before this returns, so nothing is drawn for refused breaks.
     """
-    breaks = tuple(breaks)
-    if not breaks or breaks[0] < 0 or any(a >= b for a, b in zip(breaks, breaks[1:])):
+    try:
+        breaks = tuple(breaks)
+        depths = tuple(map(geometry._check_level, breaks))
+    except (TypeError, ValueError):  # not iterable, or not a level index
+        depths = ()
+    if not depths or any(a >= b for a, b in zip(depths, depths[1:])):
         raise ValueError(f"breaks must be increasing non-negative depths, got {breaks!r}")
-    blocks = list(zip((0, *(b + 1 for b in breaks[:-1])), breaks))
+    blocks = list(zip((0, *(b + 1 for b in depths[:-1])), depths))
     variances = [sum(map(geometry.level_variance, range(lo, hi + 1))) for lo, hi in blocks]
     work = np.empty(scratch_size(grid)) if work is None else work
     return (
         (hi, variance, _block_field(lo, hi, grid, seed, replica, work))
         for (lo, hi), variance in zip(blocks, variances)
     )
-
-
-def sample_blocks(breaks, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:
-    """Draw the fields of the level blocks ending at the increasing depths
-    `breaks` for one replica, stacked from :func:`block_fields`.
-
-    A one-level block draws from that level's stream, so it equals
-    sample_level bit for bit.
-    """
-    breaks = tuple(breaks)
-    fields = block_fields(breaks, grid, seed, replica)
-    variances = np.empty(len(breaks))
-    rows = np.empty((len(breaks), grid.size))
-    for i in range(len(breaks)):
-        _, variances[i], rows[i] = next(fields)
-    return FieldHierarchy(grid, int(breaks[-1]), rows, variances, tuple(map(int, breaks)))
-
-
-def sample_level(j: int, grid: GridSpec, seed: int, replica: int = 0) -> np.ndarray:
-    """One exact draw of the level-j field at the grid points, in an array
-    of its own (not a view of the P-point transform)."""
-    return _block_field(j, j, grid, seed, replica, np.empty(scratch_size(grid))).copy()
-
-
-def sample_hierarchy(m: int, grid: GridSpec, seed: int, replica: int = 0) -> FieldHierarchy:
-    """Draw the independent level fields 0..m for one replica."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"depth must be a non-negative integer, got {m!r}")
-    return sample_blocks(range(m + 1), grid, seed, replica)

@@ -3,13 +3,16 @@
 Densities and coefficient vectors are plain arrays.  The coefficient
 vector of the depth-m density, weighted by n^(tau/2), is a martingale in
 the depth m: decay_weights(n_max, tau) * fourier_coefficients(density, n_max).
-Its increments split over the dyadic intervals of matching generation into
-localized contributions, computed here with the same left-endpoint
-rectangle rule as the global coefficients so that the split is exact at
-grid level.  The module also provides the Abel (summation-by-parts)
-transform of segment sums and a pathwise separation-of-variable bound on
-each localized contribution, with the bound split into deterministic
-frequency weights and pathwise scalars.
+Its increment from depth k - 1 to k is the coefficient vector of the
+level-k centred profile (:func:`centered_profile`, built once per level
+from the streamed density below it and the level-k field), which splits
+over the dyadic intervals of generation k - 1 into localized
+contributions, computed here with the same left-endpoint rectangle rule as
+the global coefficients so that the split is exact at grid level.  The
+module also provides the Abel (summation-by-parts) transform of segment
+sums and a pathwise separation-of-variable bound on each localized
+contribution, with the bound split into deterministic frequency weights
+and pathwise scalars.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, measure
-from .sampler import FieldHierarchy, GridSpec
+from .sampler import GridSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,30 +152,23 @@ def dyadic_family(level: int, parity: str = "all") -> list[DyadicInterval]:
     return [DyadicInterval(level, h) for h in range(first, 2**level + 1, step)]
 
 
-def _centered_profile(hierarchy: FieldHierarchy, gamma: float, k: int) -> np.ndarray:
-    """Product of the weights below level k times the centered level-k weight."""
-    if not 1 <= k <= hierarchy.depth:
-        raise ValueError(f"level {k} outside 1..{hierarchy.depth}")
-    prefix = measure.chaos_density(hierarchy, gamma, depth=k - 1)
-    top = measure.weight_field(hierarchy, k, gamma)
-    return prefix * (top - 1.0)
+def centered_profile(prev: np.ndarray, gamma: float, field: np.ndarray, variance: float) -> np.ndarray:
+    """The centred profile of level k: the density `prev` up to level k - 1
+    times the centred level-k weight, exp(gamma * field - gamma^2/2 *
+    variance) - 1, for the level-k field and its variance.  Its coefficients
+    are the martingale increment from depth k - 1 to k."""
+    measure.validate_gamma(gamma)
+    return prev * (np.exp(gamma * field - 0.5 * gamma**2 * variance) - 1.0)
 
 
-def localized_vector(
-    hierarchy: FieldHierarchy,
-    gamma: float,
-    interval: DyadicInterval,
-    tau: float,
-    n_max: int,
-) -> np.ndarray:
-    """n^(tau/2) times the rectangle-rule coefficients of the centered profile
-    restricted to one dyadic interval of the generation below the centered
-    level: that interval's contribution to the martingale increment."""
+def localized_vector(profile: np.ndarray, interval: DyadicInterval, tau: float, n_max: int) -> np.ndarray:
+    """n^(tau/2) times the rectangle-rule coefficients of the centred profile
+    of level k = interval.level + 1 restricted to the interval: that
+    interval's contribution to the martingale increment."""
     tau = _check_tau(tau)
-    n_max = _check_n_max(n_max, hierarchy.grid)
-    k = interval.level + 1
-    profile = _centered_profile(hierarchy, gamma, k)
-    i_lo, i_hi = interval.grid_slice(hierarchy.grid)
+    grid = GridSpec(profile.size)
+    n_max = _check_n_max(n_max, grid)
+    i_lo, i_hi = interval.grid_slice(grid)
     masked = np.zeros_like(profile)
     masked[i_lo:i_hi] = profile[i_lo:i_hi]
     return decay_weights(n_max, tau) * fourier_coefficients(masked, n_max)
@@ -255,15 +251,15 @@ class SeparationComponents:
 
 
 def separation_bound(
-    hierarchy: FieldHierarchy,
-    gamma: float,
+    profile: np.ndarray,
     interval: DyadicInterval,
     tau: float,
     max_block: int,
     n_max: int | None = None,
     slack: float = 1e-8,
 ) -> SeparationComponents:
-    """Pathwise check |Y_I(n)| <= sum_L v_L(n) R_L + sum_L w_L(n) Q_L.
+    """Pathwise check |Y_I(n)| <= sum_L v_L(n) R_L + sum_L w_L(n) Q_L for the
+    centred profile of level k = interval.level + 1.
 
     R_0 is the rectangle-rule mass of |profile| on the interval; for each
     block L >= 1 the interval is split into 2^L equal pieces, R_L collects
@@ -272,7 +268,7 @@ def separation_bound(
     divided by 2 pi.  The verdict allows an additive quadrature slack.
     """
     tau = _check_tau(tau)
-    grid = hierarchy.grid
+    grid = GridSpec(profile.size)
     k = interval.level + 1
     if max_block < 1:
         raise ValueError("max_block must be at least 1")
@@ -284,7 +280,6 @@ def separation_bound(
     n_max = grid.size // NYQUIST_FRACTION if n_max is None else n_max
     n_max = min(_check_n_max(n_max, grid), 2 ** (k + max_block))
 
-    profile = _centered_profile(hierarchy, gamma, k)
     i_lo, i_hi = interval.grid_slice(grid)
     local = profile[i_lo:i_hi]
 
@@ -305,7 +300,7 @@ def separation_bound(
     abel_weights = np.where(band[1:], n ** (tau / 2.0 - 1.0), 0.0)
 
     bound = residual @ direct_weights + increments @ abel_weights
-    y_abs = np.abs(localized_vector(hierarchy, gamma, interval, tau, n_max))
+    y_abs = np.abs(localized_vector(profile, interval, tau, n_max))
     return SeparationComponents(
         level_k=k,
         max_block=max_block,

@@ -43,6 +43,11 @@ def _replicas(replica):
         return list(pool.map(replica, range(REPS)))
 
 
+def _levels(seed, r):
+    """Levels 0..DEPTH of replica r on GRID_SLOPE, drawn one at a time."""
+    return gc.block_fields(range(DEPTH + 1), GRID_SLOPE, seed, r)
+
+
 @pytest.fixture(scope="module")
 def gamma05_ensemble():
     norm_depths = (6, 8, 10, 12)
@@ -50,13 +55,15 @@ def gamma05_ensemble():
     frost_levels = list(range(6, 11))
 
     def replica(r):
-        h = gc.sample_hierarchy(DEPTH, GRID_SLOPE, SEED_GAMMA05, r)
-        density = gc.chaos_density(h, 0.5)
+        parts = []
+        for depth, _, _, density in gc.densities(0.5, _levels(SEED_GAMMA05, r)):
+            if depth in norm_depths:
+                parts.append(gc.fourier_coefficients(density, N_MAX))
         return (
             np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2,
             [float(np.sum(gc.dyadic_masses(density, lv) ** 2)) for lv in s_levels],
             gc.frostman_scan(density, 0.3, frost_levels) if r < 50 else None,
-            [gc.fourier_coefficients(gc.chaos_density(h, 0.5, depth=m), N_MAX) for m in norm_depths],
+            parts,
         )
 
     abs2 = np.empty((REPS, N_MAX))
@@ -83,8 +90,9 @@ def gamma05_ensemble():
 @pytest.fixture(scope="module")
 def gamma10_abs2():
     def replica(r):
-        h = gc.sample_hierarchy(DEPTH, GRID_SLOPE, SEED_GAMMA10, r)
-        return np.abs(gc.fourier_coefficients(gc.chaos_density(h, 1.0), N_MAX)) ** 2
+        for _, _, _, density in gc.densities(1.0, _levels(SEED_GAMMA10, r)):
+            pass
+        return np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2
 
     return np.stack(_replicas(replica))
 
@@ -124,7 +132,7 @@ def test_criterion_02_sampler_fidelity():
     cross = np.zeros(len(cross_pairs))
     cross_sq = np.zeros(len(cross_pairs))
     for r in range(reps):
-        rows = [gc.sample_level(j, grid, SEED_FIDELITY, r) for j in levels]
+        rows = [field.copy() for _, _, field in gc.block_fields(levels, grid, SEED_FIDELITY, r)]
         for j in levels:
             row = rows[j]
             for i, lag in enumerate(lag_sets[j]):
@@ -186,15 +194,17 @@ def test_criterion_05_decomposition_identities():
     weights = spectral.decay_weights(n_max, tau)
     worst_tel = 0.0
     for rep in range(10):
-        h = gc.sample_hierarchy(8, grid, seed=3000, replica=rep)
-        for k in range(1, 9):
-            low = weights * gc.fourier_coefficients(gc.chaos_density(h, gamma, k - 1), n_max)
-            high = weights * gc.fourier_coefficients(gc.chaos_density(h, gamma, k), n_max)
-            total = np.zeros(n_max, dtype=complex)
-            for parity in ("odd", "even"):
-                for interval in gc.dyadic_family(k - 1, parity):
-                    total += gc.localized_vector(h, gamma, interval, tau, n_max)
-            worst_tel = max(worst_tel, float(np.max(np.abs(total - (high - low)))))
+        fields = gc.block_fields(range(9), grid, seed=3000, replica=rep)
+        for k, variance, field, density in gc.densities(gamma, fields):
+            high = weights * gc.fourier_coefficients(density, n_max)
+            if k:
+                profile = gc.centered_profile(prev, gamma, field, variance)
+                total = np.zeros(n_max, dtype=complex)
+                for parity in ("odd", "even"):
+                    for interval in gc.dyadic_family(k - 1, parity):
+                        total += gc.localized_vector(profile, interval, tau, n_max)
+                worst_tel = max(worst_tel, float(np.max(np.abs(total - (high - low)))))
+            prev, low = density.copy(), high
 
     gen = np.random.default_rng(77)
     worst_abel = 0.0
@@ -233,15 +243,18 @@ def test_criterion_06_separation_bound():
     all_ok = True
     for gamma in (0.5, 1.0):
         for rep in range(10):
-            h = gc.sample_hierarchy(6, grid, seed=4000, replica=rep)
-            for k in (3, 5):
-                for interval in gc.dyadic_family(k - 1):
-                    comp = gc.separation_bound(h, gamma, interval, tau, max_block=4, slack=1e-8)
-                    checked += comp.n.size
-                    all_ok = all_ok and comp.all_satisfied
-                    worst_excess = max(
-                        worst_excess, float(np.max(comp.localized_abs - comp.bound))
-                    )
+            fields = gc.block_fields(range(7), grid, seed=4000, replica=rep)
+            for k, variance, field, density in gc.densities(gamma, fields):
+                if k in (3, 5):
+                    profile = gc.centered_profile(prev, gamma, field, variance)
+                    for interval in gc.dyadic_family(k - 1):
+                        comp = gc.separation_bound(profile, interval, tau, max_block=4, slack=1e-8)
+                        checked += comp.n.size
+                        all_ok = all_ok and comp.all_satisfied
+                        worst_excess = max(
+                            worst_excess, float(np.max(comp.localized_abs - comp.bound))
+                        )
+                prev = density.copy()
     assert report(
         6,
         all_ok,
@@ -301,8 +314,8 @@ def test_criterion_11_clt_rescaling():
     grid = gc.GridSpec(2**13)
     coeffs = np.empty((REPS, 2**10), dtype=complex)
     for r in range(REPS):
-        h = gc.sample_hierarchy(12, grid, SEED_GAMMA04, r)
-        density = gc.chaos_density(h, 0.4)
+        for _, _, _, density in gc.densities(0.4, gc.block_fields(range(13), grid, SEED_GAMMA04, r)):
+            pass
         coeffs[r] = gc.fourier_coefficients(density, 2**10)
     profile = gc.clt_rescale_profile(coeffs, 0.4, 6, 10)
     values = np.array([v for _, _, v in profile])

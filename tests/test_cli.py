@@ -275,7 +275,7 @@ def test_clt_validates_before_sampling(tmp_path, monkeypatch, capsys, flags, mes
 )
 def test_simulate_validates_before_sampling(tmp_path, monkeypatch, capsys, flags, message):
     ran = []
-    monkeypatch.setattr(cli, "sample_hierarchy", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "block_fields", lambda *args: ran.append(args))
     out = tmp_path / "out"
     argv = ["simulate", "--gamma", "0.5", "--m", "6", "--grid", "256", "--seed", "3",
             "--out", str(out)] + flags

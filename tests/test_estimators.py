@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gmchaos import estimators
+from gmchaos import estimators, harness
 
 SQRT2 = math.sqrt(2.0)
 
@@ -140,6 +140,8 @@ def test_decay_slope_preconditions():
         estimators.decay_slope(data, 8, 512, statistic="mean")  # beyond data
     with pytest.raises(ValueError, match="statistic must be mean or median, got 'quantile'"):
         estimators.decay_slope(data, 8, 256, statistic="quantile")
+    with pytest.raises(ValueError, match="statistic must be mean or median, got 'quantile'"):
+        harness.ExperimentConfig(gamma=0.5, depth=10, grid_size=2048, n_max=256, statistic="quantile")
 
 
 def test_l2_slope_uniform_density():
@@ -175,8 +177,9 @@ def test_l2_slope_refuses_fewer_than_two_levels():
 def test_l2_slope_from_densities():
     from gmchaos import measure, sampler
 
-    h = sampler.sample_hierarchy(6, sampler.GridSpec(256), seed=2)
-    sums = [measure.l2_sums(measure.chaos_density(h, 0.0), range(1, 6))]
+    for _, _, _, density in measure.densities(0.0, sampler.block_fields(range(7), sampler.GridSpec(256), seed=2)):
+        pass
+    sums = [measure.l2_sums(density, range(1, 6))]
     fit = estimators.l2_spectrum_slope(sums, range(1, 6))
     assert fit.slope == pytest.approx(1.0, abs=1e-10)
 

@@ -92,6 +92,9 @@ def test_level_index_validated():
         geometry.level_covariance(-1, 0.1)
     with pytest.raises(ValueError):
         geometry.level_variance(-2)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="level index must be a non-negative integer"):
+            geometry.level_variance(bad)
 
 
 def test_region_difference_consistent_with_covariance():

@@ -405,10 +405,19 @@ def test_run_replica_draws_one_field_per_read_depth(monkeypatch):
     assert [key[2:] for key in opened] == [(0, 6), (7, 8), (9, 10), (11, 12), (13, 16)]
 
 
-def _block_fields(config, replica):
-    """The fields run_replica reads, drawn the way it draws them."""
+def _stacked_densities(config, replica):
+    """The density at each depth run_replica reads, {depth: density}: the
+    product of the weights written out over copies of the same block fields,
+    drawn the way it draws them."""
     depths = sorted({*config.norm_depths, config.depth})
-    return sampler.sample_blocks(depths, config.grid, config.seed, replica)
+    rows, variances = np.empty((len(depths), config.grid_size)), np.empty(len(depths))
+    for i, (_, variance, field) in enumerate(sampler.block_fields(depths, config.grid, config.seed, replica)):
+        rows[i], variances[i] = field, variance
+    gamma = config.gamma
+    return {
+        depth: np.exp(gamma * rows[: i + 1].sum(0) - 0.5 * gamma**2 * np.sum(variances[: i + 1]))
+        for i, depth in enumerate(depths)
+    }
 
 
 def test_replica_statistics_are_the_kernels():
@@ -416,13 +425,11 @@ def test_replica_statistics_are_the_kernels():
     plan = config.exponents()
     for replica in range(3):
         record = harness.run_replica(config, replica)
-        hierarchy = _block_fields(config, replica)
-        density = measure.chaos_density(hierarchy, config.gamma)
-        level_sq = measure.l2_sums(density, config.mass_levels)
+        densities = _stacked_densities(config, replica)
+        level_sq = measure.l2_sums(densities[config.depth], config.mass_levels)
         assert record.level_mass_sq.tobytes() == level_sq.tobytes()
         for depth, value in zip(config.norm_depths, record.norm_powers):
-            part = measure.chaos_density(hierarchy, config.gamma, depth=depth)
-            coefficients = spectral.fourier_coefficients(part, config.n_max)
+            coefficients = spectral.fourier_coefficients(densities[depth], config.n_max)
             assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
 
 
@@ -437,14 +444,13 @@ def test_running_exponent_is_the_stacked_block_density():
     for replica in range(2):
         for work in (None, np.full(6 * config.grid_size + 2, np.nan)):
             record = harness.run_replica(config, replica, work)
-            hierarchy = _block_fields(config, replica)
-            density = measure.chaos_density(hierarchy, config.gamma)
+            densities = _stacked_densities(config, replica)
+            density = densities[config.depth]
             assert record.coefficients.tobytes() == spectral.fourier_coefficients(density, config.n_max).tobytes()
             assert record.total_mass == float(density.mean())
             assert record.level_mass_sq.tobytes() == measure.l2_sums(density, config.mass_levels).tobytes()
             for depth, value in zip(config.norm_depths, record.norm_powers):
-                part = measure.chaos_density(hierarchy, config.gamma, depth=depth)
-                coefficients = spectral.fourier_coefficients(part, config.n_max)
+                coefficients = spectral.fourier_coefficients(densities[depth], config.n_max)
                 assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
 
 
@@ -517,7 +523,7 @@ def test_norm_sum_matches_uniform_bound_probe():
     for depth in config.norm_depths:
         rows = []
         for replica in range(config.replicas):
-            part = measure.chaos_density(_block_fields(config, replica), config.gamma, depth=depth)
+            part = _stacked_densities(config, replica)[depth]
             rows.append(spectral.fourier_coefficients(part, config.n_max))
         spectra[depth] = np.array(rows)
     depths, means = estimators.uniform_bound_probe(config.gamma, config.tau, plan.p, plan.q, spectra)
@@ -567,7 +573,7 @@ def test_median_fit_from_result_matches_estimator(seed):
 
 
 def test_decay_fit_from_result_matches_estimator():
-    from gmchaos import estimators, measure, sampler, spectral
+    from gmchaos import estimators, spectral
 
     config = harness.ExperimentConfig(
         gamma=0.5, depth=10, grid_size=2048, n_max=256, replicas=40, seed=3,
@@ -578,8 +584,7 @@ def test_decay_fit_from_result_matches_estimator():
     abs2 = np.empty((40, 256))
     for r in range(40):
         # run_replica draws the depth-10 field as the one block 0..10
-        h = sampler.sample_blocks((10,), sampler.GridSpec(2048), 3, r)
-        abs2[r] = np.abs(spectral.fourier_coefficients(measure.chaos_density(h, 0.5), 256)) ** 2
+        abs2[r] = np.abs(spectral.fourier_coefficients(_stacked_densities(config, r)[10], 256)) ** 2
     direct = estimators.decay_slope(abs2, 8, 256, statistic="mean")
     assert fit.slope == pytest.approx(direct.slope, abs=1e-12)
 

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gmchaos import measure, sampler
+from gmchaos import measure, sampler, spectral
 
 
-@pytest.fixture(scope="module")
-def hierarchy():
-    return sampler.sample_hierarchy(6, sampler.GridSpec(256), seed=21, replica=0)
+def _density(gamma, depth=6, size=256, seed=21, replica=0):
+    """The depth-`depth` density of one replica, levels 0..depth drawn one at a time."""
+    fields = sampler.block_fields(range(depth + 1), sampler.GridSpec(size), seed, replica)
+    for _, _, _, density in measure.densities(gamma, fields):
+        pass
+    return density
 
 
 def test_gamma_validation():
@@ -19,20 +24,17 @@ def test_gamma_validation():
             measure.validate_gamma(bad)
 
 
-def test_weight_field_degenerate(hierarchy):
-    assert np.array_equal(measure.weight_field(hierarchy, 2, 0.0), np.ones(256))
-
-
-def test_weight_field_unit_mean(hierarchy):
-    # independent replicas at a fixed grid point
+def test_level_weight_unit_mean():
+    # independent replicas at a fixed grid point: the level-1 weight has
+    # unit mean, so its centred profile over a unit density has mean zero
     n = 600
     grid = sampler.GridSpec(64)
     values = np.empty(n)
     for r in range(n):
-        h = sampler.sample_hierarchy(1, grid, seed=2, replica=r)
-        values[r] = measure.weight_field(h, 1, 0.5)[17]
+        _, (_, variance, field) = sampler.block_fields(range(2), grid, seed=2, replica=r)
+        values[r] = spectral.centered_profile(np.ones(64), 0.5, field, variance)[17]
     se = values.std(ddof=1) / math.sqrt(n)
-    assert abs(values.mean() - 1.0) <= 3 * se
+    assert abs(values.mean()) <= 3 * se
 
 
 def test_weight_second_moment_constant():
@@ -49,35 +51,76 @@ def test_weight_moment_closed_forms():
         measure.weight_moment(0.5, 0, 0.0)
 
 
-def test_chaos_density_degenerate(hierarchy):
-    density = measure.chaos_density(hierarchy, 0.0)
-    assert np.array_equal(density, np.ones(256))
+def test_density_degenerate():
+    # at gamma 0 every density is one and every centred profile zero
+    fields = sampler.block_fields(range(7), sampler.GridSpec(256), seed=21)
+    for _, variance, field, density in measure.densities(0.0, fields):
+        assert np.array_equal(density, np.ones(256))
+        profile = spectral.centered_profile(np.ones(256), 0.0, field, variance)
+        assert np.array_equal(profile, np.zeros(256))
 
 
-def test_chaos_density_positive_and_finite():
-    h = sampler.sample_hierarchy(12, sampler.GridSpec(1024), seed=3)
-    density = measure.chaos_density(h, 1.3)
+def test_density_positive_and_finite():
+    density = _density(1.3, depth=12, size=1024, seed=3)
     assert np.all(density > 0.0)
     assert np.all(np.isfinite(density))
 
 
-def test_chaos_density_depth_slicing(hierarchy):
-    density = measure.chaos_density(hierarchy, 0.6, depth=3)
-    manual = np.ones(256)
-    for j in range(4):
-        manual *= measure.weight_field(hierarchy, j, 0.6)
-    assert np.allclose(density, manual, rtol=1e-12)
-    with pytest.raises(ValueError):
-        measure.chaos_density(hierarchy, 0.6, depth=7)
+BREAKS = st.one_of(
+    st.integers(0, 10).map(lambda m: list(range(m + 1))),  # one level at a time
+    st.sets(st.integers(0, 10), min_size=1).map(sorted),  # blocks
+)
+
+
+@given(
+    breaks=BREAKS,
+    gamma=st.floats(0.0, 1.4, exclude_max=True),
+    replica=st.integers(0, 3),
+    in_work=st.booleans(),
+)
+def test_streamed_densities_are_the_stacked_formula(breaks, gamma, replica, in_work):
+    # each streamed density against the product of the weights written out
+    # over copies of the same draws, bit for bit; a work array's old
+    # contents must not reach it
+    grid = sampler.GridSpec(256)
+    work = np.full(2 * grid.size, np.nan) if in_work else None
+    rows, variances = np.empty((len(breaks), grid.size)), np.empty(len(breaks))
+    fields = sampler.block_fields(breaks, grid, seed=5, replica=replica)
+    streamed = measure.densities(gamma, fields, work)
+    for i, (depth, variance, field, density) in enumerate(streamed):
+        assert depth == breaks[i]
+        rows[i], variances[i] = field, variance
+        expected = np.exp(gamma * rows[: i + 1].sum(0) - 0.5 * gamma**2 * np.sum(variances[: i + 1]))
+        assert density.tobytes() == expected.tobytes()
+        if in_work:
+            assert np.shares_memory(density, work)
+    assert i == len(breaks) - 1
+
+
+def test_densities_refuse_gamma_before_drawing(monkeypatch):
+    opened = []
+    monkeypatch.setattr(sampler.rng, "field_stream", lambda *key: opened.append(key))
+    fields = sampler.block_fields(range(3), sampler.GridSpec(64), seed=1)
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        next(measure.densities(math.sqrt(2.0), fields))
+    assert opened == []
+
+
+@pytest.mark.parametrize(
+    "work", [np.empty(130), np.empty(100), np.empty(128, dtype=np.int64), np.empty((2, 64))],
+    ids=["long", "short", "integer", "two-rows"],
+)
+def test_densities_refuse_a_wrong_work_array(work):
+    fields = sampler.block_fields(range(3), sampler.GridSpec(64), seed=1)
+    with pytest.raises(ValueError, match="work must be a float64 array of 2G entries for grid size 64"):
+        next(measure.densities(0.5, fields, work))
 
 
 def test_total_mass_unit_mean():
-    grid = sampler.GridSpec(256)
     n = 3000
     masses = np.empty(n)
     for r in range(n):
-        h = sampler.sample_hierarchy(8, grid, seed=31, replica=r)
-        masses[r] = measure.chaos_density(h, 0.7).mean()
+        masses[r] = _density(0.7, depth=8, seed=31, replica=r).mean()
     se = masses.std(ddof=1) / math.sqrt(n)
     assert abs(masses.mean() - 1.0) <= 3 * se
 
@@ -90,9 +133,9 @@ def test_total_mass_constant_across_depths():
     depths = (2, 5, 8)
     masses = np.empty((n, len(depths)))
     for r in range(n):
-        h = sampler.sample_hierarchy(8, grid, seed=19, replica=r)
-        for c, m in enumerate(depths):
-            masses[r, c] = measure.chaos_density(h, 0.6, depth=m).mean()
+        for depth, _, _, density in measure.densities(0.6, sampler.block_fields(range(9), grid, 19, r)):
+            if depth in depths:
+                masses[r, depths.index(depth)] = density.mean()
     for c in range(len(depths)):
         se = masses[:, c].std(ddof=1) / math.sqrt(n)
         assert abs(masses[:, c].mean() - 1.0) <= 3 * se
@@ -104,21 +147,20 @@ def test_total_mass_constant_across_depths():
 
 
 def test_half_interval_mass_ensemble_mean():
-    grid = sampler.GridSpec(128)
     n = 2000
     masses = np.empty(n)
     for r in range(n):
-        h = sampler.sample_hierarchy(6, grid, seed=13, replica=r)
-        masses[r] = measure.dyadic_masses(measure.chaos_density(h, 0.5), 1)[0]
+        density = _density(0.5, depth=6, size=128, seed=13, replica=r)
+        masses[r] = measure.dyadic_masses(density, 1)[0]
     se = masses.std(ddof=1) / math.sqrt(n)
     assert abs(masses.mean() - 0.5) <= 3 * se
 
 
-def test_dyadic_masses(hierarchy):
-    uniform = measure.chaos_density(hierarchy, 0.0)
+def test_dyadic_masses():
+    uniform = _density(0.0)
     assert measure.dyadic_masses(uniform, 2) == pytest.approx([0.25] * 4, abs=1e-15)
     assert measure.dyadic_masses(uniform, 0)[0] == pytest.approx(1.0, abs=1e-15)
-    density = measure.chaos_density(hierarchy, 0.9)
+    density = _density(0.9)
     masses = measure.dyadic_masses(density, 3)
     assert masses.size == 8
     assert masses.sum() == pytest.approx(measure.dyadic_masses(density, 0)[0], abs=1e-14)
@@ -126,8 +168,8 @@ def test_dyadic_masses(hierarchy):
         measure.dyadic_masses(density, 9)  # finer than the 256-point grid
 
 
-def test_frostman_uniform(hierarchy):
-    density = measure.chaos_density(hierarchy, 0.0)
+def test_frostman_uniform():
+    density = _density(0.0)
     ratios = measure.frostman_scan(density, 1.0, [0, 2, 5])
     assert np.allclose(ratios, 1.0, atol=1e-12)
     half = measure.frostman_scan(density, 0.5, [4])
@@ -164,8 +206,8 @@ def test_holder_probe_validation():
         measure.holder_moment_quadrature(0.5, 3, 2.0, 0.0)
 
 
-def test_density_csv_export(tmp_path, hierarchy):
-    density = measure.chaos_density(hierarchy, 0.4)
+def test_density_csv_export(tmp_path):
+    density = _density(0.4)
     path = tmp_path / "density.csv"
     measure.write_density_csv(density, path)
     lines = path.read_text().splitlines()

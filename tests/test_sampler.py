@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,22 @@ from hypothesis import strategies as st
 from gmchaos import geometry, measure, rng, sampler
 
 LN2 = math.log(2.0)
+
+
+def _rows(breaks, grid, seed, replica=0):
+    """The fields and variances of block_fields(breaks, ...), stacked: each
+    field copied out of the sampler's scratch."""
+    rows, variances = np.empty((len(breaks), grid.size)), np.empty(len(breaks))
+    for i, (_, variance, field) in enumerate(sampler.block_fields(breaks, grid, seed, replica)):
+        rows[i], variances[i] = field, variance
+    return rows, variances
+
+
+def _level(j, grid, seed, replica=0):
+    """The level-j field of one replica, from that level's own stream (after
+    the block 0..j-1, which is dropped)."""
+    *_, (_, _, field) = sampler.block_fields((j - 1, j) if j else (0,), grid, seed, replica)
+    return field
 
 
 def test_grid_spec_validation():
@@ -82,30 +99,24 @@ def test_embedding_implied_covariance_matches_closed_form():
 
 def test_determinism_and_stream_separation():
     grid = sampler.GridSpec(64)
-    a = sampler.sample_hierarchy(4, grid, seed=9, replica=2)
-    b = sampler.sample_hierarchy(4, grid, seed=9, replica=2)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, sampler.sample_hierarchy(4, grid, 9, 3).samples)
-    assert not np.array_equal(a.samples, sampler.sample_hierarchy(4, grid, 10, 2).samples)
-    # rows are read-only
-    with pytest.raises(ValueError):
-        a.samples[0, 0] = 1.0
+    a, _ = _rows(range(5), grid, seed=9, replica=2)
+    b, _ = _rows(range(5), grid, seed=9, replica=2)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, _rows(range(5), grid, 9, 3)[0])
+    assert not np.array_equal(a, _rows(range(5), grid, 10, 2)[0])
 
 
 def test_hierarchy_variance_record():
-    grid = sampler.GridSpec(32)
-    h = sampler.sample_hierarchy(3, grid, seed=0)
-    assert h.variances[0] == 1.0
-    assert np.allclose(h.variances[1:], LN2)
-    with pytest.raises(ValueError):
-        h.level(4)
+    _, variances = _rows(range(4), sampler.GridSpec(32), seed=0)
+    assert variances[0] == 1.0
+    assert np.allclose(variances[1:], LN2)
 
 
 def test_empirical_variance_level0():
     # fixed grid point across many replicas; level-0 variance is 1
     grid = sampler.GridSpec(8)
     n = 10**5
-    values = np.array([sampler.sample_level(0, grid, seed=77, replica=r)[3] for r in range(n)])
+    values = np.array([_level(0, grid, seed=77, replica=r)[3] for r in range(n)])
     assert abs(values.var() - 1.0) < 0.02
 
 
@@ -117,7 +128,7 @@ def test_empirical_covariance_level2():
     acc = 0.0
     n = 4000
     for r in range(n):
-        row = sampler.sample_level(2, grid, seed=5, replica=r)
+        row = _level(2, grid, seed=5, replica=r)
         acc += row[:-lag_pts] @ row[lag_pts:] / (64 - lag_pts)
     assert abs(acc / n - theo) < 0.015
 
@@ -125,7 +136,7 @@ def test_empirical_covariance_level2():
 def _dense_level_draw(j, grid, seed, replica):
     """The level-j field through the full grid covariance matrix, built from
     the closed form and factored by symmetric eigendecomposition: the law of
-    sample_level by another path, for small grids only."""
+    a one-level block by another path, for small grids only."""
     t = grid.times()
     cov = geometry.level_covariance(j, np.abs(t[:, None] - t[None, :]))
     vals, vecs = np.linalg.eigh(cov)
@@ -181,21 +192,12 @@ def test_level_streams_are_bit_identical_to_the_level_formula(log2_size):
     # level 0's periodized triangle has clamped zero eigenvalues, where a
     # signed-zero difference in the colouring would show first
     assert np.any(sampler._block_root(0, 0, grid) == 0.0)
-    for j in (0, 3, 6):
-        row = sampler.sample_level(j, grid, seed=8, replica=5)
-        assert row.tobytes() == _inline_block_draw(j, j, grid, 8, 5).tobytes()
-    h = sampler.sample_hierarchy(6, grid, seed=8, replica=5)
-    rows = np.stack([sampler.sample_level(j, grid, 8, 5) for j in range(7)])
-    assert h.samples.tobytes() == rows.tobytes()
-    assert h.breaks == tuple(range(7)) and h.per_level
-    blocks = sampler.sample_blocks((1, 2, 6), grid, seed=8, replica=5)
-    assert blocks.samples[1].tobytes() == rows[2].tobytes()
-    assert blocks.samples[2].tobytes() == _inline_block_draw(3, 6, grid, 8, 5).tobytes()
-
-
-def test_sample_level_owns_its_row():
-    row = sampler.sample_level(5, sampler.GridSpec(64), seed=2)
-    assert row.base is None and row.size == 64  # not a view keeping the P-point transform
+    rows, _ = _rows(range(7), grid, seed=8, replica=5)
+    for j in range(7):
+        assert rows[j].tobytes() == _inline_block_draw(j, j, grid, 8, 5).tobytes()
+    blocks, _ = _rows((1, 2, 6), grid, seed=8, replica=5)
+    assert blocks[1].tobytes() == rows[2].tobytes()
+    assert blocks[2].tobytes() == _inline_block_draw(3, 6, grid, 8, 5).tobytes()
 
 
 def test_two_normal_calls_are_one_two_row_draw():
@@ -232,12 +234,12 @@ def test_sampler_retains_only_the_block_filters():
     periods = [sampler.embedding_period(lo, grid) for lo, _ in blocks]
     for n in periods:  # numpy's FFT plans are not the sampler's
         np.fft.irfft(np.fft.rfft(np.ones(n)), n=n)
-    sampler.sample_level(0, sampler.GridSpec(2), 0)  # nor is numpy.random's lazy import
+    _level(0, sampler.GridSpec(2), 0)  # nor is numpy.random's lazy import
     sampler._block_root.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sampler.sample_blocks([hi for _, hi in blocks], grid, 1, 0)  # the fields are dropped at once
+        _rows([hi for _, hi in blocks], grid, 1, 0)  # the fields are dropped at once
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -282,7 +284,7 @@ def test_block_field_law():
     stats = np.empty((n, 2, lags.size))
     cross = np.empty(n)
     for r in range(n):
-        rows = sampler.sample_blocks((1, 5), grid, seed=12, replica=r).samples
+        rows, _ = _rows((1, 5), grid, seed=12, replica=r)
         for b, row in enumerate(rows):
             stats[r, b] = [row[:-lag] @ row[lag:] / (256 - lag) for lag in lags]
         cross[r] = rows[0] @ rows[1] / 256
@@ -291,21 +293,19 @@ def test_block_field_law():
         se = stats[:, b].std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(stats[:, b].mean(axis=0) - theo) <= 4 * se)
     assert abs(cross.mean()) <= 4 * cross.std(ddof=1) / math.sqrt(n)
-    h = sampler.sample_blocks((1, 5), grid, seed=12)
-    assert h.variances[0] == 1.0 + LN2
-    assert h.variances[1] == pytest.approx(4 * LN2, rel=1e-15)
+    _, variances = _rows((1, 5), grid, seed=12)
+    assert variances[0] == 1.0 + LN2
+    assert variances[1] == pytest.approx(4 * LN2, rel=1e-15)
 
 
-def test_block_hierarchy_refusals():
+def test_block_hierarchy_refusals(monkeypatch):
     grid = sampler.GridSpec(64)
-    h = sampler.sample_blocks((2, 5), grid, seed=3)
-    assert not h.per_level
-    with pytest.raises(ValueError, match="blocks ending at"):
-        h.level(2)
-    with pytest.raises(ValueError, match=r"not one of the sampled depths \(2, 5\)"):
-        measure.chaos_density(h, 0.5, depth=4)
-    first = np.exp(0.5 * h.samples[0] - 0.5 * 0.5**2 * h.variances[0])
-    assert measure.chaos_density(h, 0.5, depth=2).tobytes() == first.tobytes()
-    for bad in ((), (-1, 3), (3, 3), (4, 2)):
-        with pytest.raises(ValueError):
-            sampler.sample_blocks(bad, grid, seed=3)
+    depth, variance, field, density = next(measure.densities(0.5, sampler.block_fields((2, 5), grid, seed=3)))
+    first = np.exp(0.5 * field - 0.5 * 0.5**2 * variance)
+    assert depth == 2 and density.tobytes() == first.tobytes()
+    opened = []
+    monkeypatch.setattr(rng, "field_stream", lambda *key: opened.append(key))
+    for bad in ((), (-1, 3), (3, 3), (4, 2), (True, 3), (1.5, 3), (2.0,), ("2",), 3):
+        with pytest.raises(ValueError, match=re.escape(f"breaks must be increasing non-negative depths, got {bad!r}")):
+            sampler.block_fields(bad, grid, seed=3)
+    assert opened == []  # refused before any draw

@@ -11,13 +11,27 @@ COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=
 
 
 @pytest.fixture(scope="module")
-def hierarchy():
-    return sampler.sample_hierarchy(6, sampler.GridSpec(1024), seed=17, replica=0)
+def fields():
+    """Levels 0..6 of one replica on a 1024-point grid, each field copied out
+    of the sampler's scratch."""
+    return [(d, v, f.copy()) for d, v, f in sampler.block_fields(range(7), sampler.GridSpec(1024), seed=17)]
+
+
+def _stream(fields, gamma):
+    """The density at each depth 0..6 of `fields` and the centred profile of
+    each level 1..6 (profiles[k], None at 0)."""
+    densities, profiles = [], [None]
+    for depth, variance, field, density in measure.densities(gamma, fields):
+        if depth:
+            profiles.append(spectral.centered_profile(densities[-1], gamma, field, variance))
+        densities.append(density.copy())
+    return densities, profiles
 
 
 def _uniform_density(size=256):
-    h = sampler.sample_hierarchy(2, sampler.GridSpec(size), seed=0)
-    return measure.chaos_density(h, 0.0)
+    for _, _, _, density in measure.densities(0.0, sampler.block_fields(range(3), sampler.GridSpec(size), seed=0)):
+        pass
+    return density
 
 
 def test_uniform_density_has_zero_coefficients():
@@ -32,8 +46,8 @@ def test_band_limited_exactness():
     assert np.max(np.abs(spec[1:])) < 1e-13
 
 
-def test_fourier_coefficients_are_the_scaled_fft_bitwise(hierarchy):
-    density = measure.chaos_density(hierarchy, 0.5)
+def test_fourier_coefficients_are_the_scaled_fft_bitwise(fields):
+    density = _stream(fields, 0.5)[0][6]
     for n_max in (1, 17, 128):
         expected = np.fft.rfft(density)[1 : n_max + 1] / density.size
         assert spectral.fourier_coefficients(density, n_max).tobytes() == expected.tobytes()
@@ -76,8 +90,8 @@ def test_nyquist_guard():
         spectral.fourier_coefficients(_uniform_density(256), 33)  # above 256/8
 
 
-def test_weighted_modulus_invariant(hierarchy):
-    spec = spectral.fourier_coefficients(measure.chaos_density(hierarchy, 0.5), 64)
+def test_weighted_modulus_invariant(fields):
+    spec = spectral.fourier_coefficients(_stream(fields, 0.5)[0][6], 64)
     weighted = spectral.decay_weights(64, 0.7) * spec
     n = np.arange(1, 65)
     assert np.allclose(np.abs(weighted), n**0.35 * np.abs(spec), rtol=1e-12)
@@ -106,21 +120,22 @@ def test_dyadic_interval_grid_alignment():
         spectral.DyadicInterval(9, 1).grid_slice(sampler.GridSpec(64))
 
 
-def test_localized_vector_degenerate(hierarchy):
-    vec = spectral.localized_vector(hierarchy, 0.0, spectral.DyadicInterval(2, 1), 0.5, 32)
+def test_localized_vector_degenerate(fields):
+    vec = spectral.localized_vector(_stream(fields, 0.0)[1][3], spectral.DyadicInterval(2, 1), 0.5, 32)
     assert np.array_equal(vec, np.zeros(32, dtype=complex))
 
 
-def test_localized_vector_against_direct_sum(hierarchy):
+def test_localized_vector_against_direct_sum(fields):
     gamma, tau = 0.5, 0.3
     interval = spectral.DyadicInterval(2, 3)
-    vec = spectral.localized_vector(hierarchy, gamma, interval, tau, 16)
-    grid = hierarchy.grid
+    vec = spectral.localized_vector(_stream(fields, gamma)[1][3], interval, tau, 16)
+    grid = sampler.GridSpec(1024)
     t = grid.times()
+    weights = [np.exp(gamma * field - 0.5 * gamma**2 * variance) for _, variance, field in fields]
     prefix = np.ones(grid.size)
     for j in range(3):
-        prefix = prefix * measure.weight_field(hierarchy, j, gamma)
-    core = prefix * (measure.weight_field(hierarchy, 3, gamma) - 1.0)
+        prefix = prefix * weights[j]
+    core = prefix * (weights[3] - 1.0)
     i_lo, i_hi = interval.grid_slice(grid)
     for n in (1, 7, 16):
         direct = n ** (tau / 2) * np.sum(
@@ -129,22 +144,24 @@ def test_localized_vector_against_direct_sum(hierarchy):
         assert abs(vec[n - 1] - direct) < 1e-12
 
 
-def test_localized_requires_deep_enough_hierarchy(hierarchy):
+def test_localized_requires_deep_enough_hierarchy(fields):
+    profile = _stream(fields, 0.5)[1][3]
+    with pytest.raises(ValueError, match="finer than grid of size 1024"):
+        spectral.localized_vector(profile, spectral.DyadicInterval(11, 1), 0.3, 16)
     with pytest.raises(ValueError):
-        spectral.localized_vector(hierarchy, 0.5, spectral.DyadicInterval(6, 1), 0.3, 16)
-    with pytest.raises(ValueError):
-        spectral.localized_vector(hierarchy, 0.5, spectral.DyadicInterval(2, 1), 0.3, 1024)
+        spectral.localized_vector(profile, spectral.DyadicInterval(2, 1), 0.3, 1024)
 
 
-def test_increment_decomposition(hierarchy):
+def test_increment_decomposition(fields):
     gamma, tau, n_max = 0.5, 0.4, 64
     weights = spectral.decay_weights(n_max, tau)
+    densities, profiles = _stream(fields, gamma)
     for k in range(1, 7):
-        low = weights * spectral.fourier_coefficients(measure.chaos_density(hierarchy, gamma, k - 1), n_max)
-        high = weights * spectral.fourier_coefficients(measure.chaos_density(hierarchy, gamma, k), n_max)
+        low = weights * spectral.fourier_coefficients(densities[k - 1], n_max)
+        high = weights * spectral.fourier_coefficients(densities[k], n_max)
         total = np.zeros(n_max, dtype=complex)
         for interval in spectral.dyadic_family(k - 1):
-            total += spectral.localized_vector(hierarchy, gamma, interval, tau, n_max)
+            total += spectral.localized_vector(profiles[k], interval, tau, n_max)
         assert np.max(np.abs(total - (high - low))) < 1e-10
 
 
@@ -265,21 +282,21 @@ def test_abel_node_count_validation():
         spectral.abel_segment_transform(np.ones(4), (0.0, 1.0), 1)
 
 
-def test_separation_bound_degenerate(hierarchy):
-    comp = spectral.separation_bound(hierarchy, 0.0, spectral.DyadicInterval(2, 2), 0.4, 3)
+def test_separation_bound_degenerate(fields):
+    comp = spectral.separation_bound(_stream(fields, 0.0)[1][3], spectral.DyadicInterval(2, 2), 0.4, 3)
     assert np.all(comp.residual_masses == 0.0)
     assert np.all(comp.increment_sums == 0.0)
     assert comp.all_satisfied
 
 
-def test_separation_bound_holds_pathwise(hierarchy):
-    comp = spectral.separation_bound(hierarchy, 0.5, spectral.DyadicInterval(2, 3), 0.4, 4)
+def test_separation_bound_holds_pathwise(fields):
+    comp = spectral.separation_bound(_stream(fields, 0.5)[1][3], spectral.DyadicInterval(2, 3), 0.4, 4)
     assert comp.all_satisfied
     assert comp.localized_abs.shape == comp.bound.shape
 
 
-def test_separation_weight_supports(hierarchy):
-    comp = spectral.separation_bound(hierarchy, 0.5, spectral.DyadicInterval(2, 1), 0.6, 3)
+def test_separation_weight_supports(fields):
+    comp = spectral.separation_bound(_stream(fields, 0.5)[1][3], spectral.DyadicInterval(2, 1), 0.6, 3)
     k = comp.level_k
     n = comp.n
     assert np.array_equal(comp.direct_weights[0] > 0, n <= 2**k)
@@ -291,33 +308,33 @@ def test_separation_weight_supports(hierarchy):
         assert np.allclose(comp.abel_weights[block - 1][band], expected, rtol=1e-12)
 
 
-def test_separation_bound_grid_depth_guard(hierarchy):
+def test_separation_bound_grid_depth_guard(fields):
     with pytest.raises(ValueError):
-        spectral.separation_bound(hierarchy, 0.5, spectral.DyadicInterval(2, 1), 0.4, 8)
+        spectral.separation_bound(_stream(fields, 0.5)[1][3], spectral.DyadicInterval(2, 1), 0.4, 8)
 
 
 def test_conditional_centering_of_localized_vector():
     # resample the top level only; the localized vector is centered given
     # the levels below
     grid = sampler.GridSpec(256)
-    base = sampler.sample_hierarchy(3, grid, seed=99, replica=0)
+    *_, (_, _, _, base) = measure.densities(0.5, sampler.block_fields(range(3), grid, seed=99))
     interval = spectral.DyadicInterval(2, 2)
     n_resample = 10**4
     picks = (1, 5, 17)
     values = np.empty((n_resample, len(picks)), dtype=complex)
     for r in range(n_resample):
-        top = sampler.sample_level(3, grid, seed=99, replica=r + 1)
-        rows = np.concatenate([base.samples[:3], top[None, :]])
-        h = sampler.FieldHierarchy(grid=grid, depth=3, samples=rows, variances=base.variances.copy())
-        values[r] = spectral.localized_vector(h, 0.5, interval, 0.4, 32)[list(picks)]
+        # a fresh level 3 from its own stream; the block 0..2 before it is dropped
+        _, (_, variance, top) = sampler.block_fields((2, 3), grid, seed=99, replica=r + 1)
+        profile = spectral.centered_profile(base, 0.5, top, variance)
+        values[r] = spectral.localized_vector(profile, interval, 0.4, 32)[list(picks)]
     for col in range(len(picks)):
         for part in (values[:, col].real, values[:, col].imag):
             se = part.std(ddof=1) / math.sqrt(n_resample)
             assert abs(part.mean()) <= 3 * se
 
 
-def test_spectrum_csv_export(tmp_path, hierarchy):
-    spec = spectral.fourier_coefficients(measure.chaos_density(hierarchy, 0.5), 16)
+def test_spectrum_csv_export(tmp_path, fields):
+    spec = spectral.fourier_coefficients(_stream(fields, 0.5)[0][6], 16)
     path = tmp_path / "spectrum.csv"
     spectral.write_spectrum_csv(spec, path)
     lines = path.read_text().splitlines()
@@ -357,16 +374,17 @@ def test_blocks_tile_the_frequency_axis_and_windows_count_complete_blocks(n_max,
         spectral.dyadic_blocks(n_lo, n_max + 1, n_max, 0)
 
 
-def test_weight_sites_use_the_decay_weights_bitwise(hierarchy):
+def test_weight_sites_use_the_decay_weights_bitwise(fields):
     tau, n_max, interval = 0.7, 64, spectral.DyadicInterval(2, 3)
     weights = spectral.decay_weights(n_max, tau)
-    spec = spectral.fourier_coefficients(measure.chaos_density(hierarchy, 0.5), n_max)
-    raw = spectral.localized_vector(hierarchy, 0.5, interval, 0.0, n_max)  # weights n^0 = 1
-    local = spectral.localized_vector(hierarchy, 0.5, interval, tau, n_max)
+    densities, profiles = _stream(fields, 0.5)
+    spec = spectral.fourier_coefficients(densities[6], n_max)
+    raw = spectral.localized_vector(profiles[3], interval, 0.0, n_max)  # weights n^0 = 1
+    local = spectral.localized_vector(profiles[3], interval, tau, n_max)
     assert local.tobytes() == (weights * raw).tobytes()
     rows = np.stack([spec, raw])
     expected = spectral.lq_norm(weights * rows, 16.0) ** 1.5
     assert estimators.norm_powers(rows, tau, 1.5, 16.0).tobytes() == expected.tobytes()
-    comp = spectral.separation_bound(hierarchy, 0.5, interval, tau, 3, n_max=n_max)
+    comp = spectral.separation_bound(profiles[3], interval, tau, 3, n_max=n_max)
     assert np.count_nonzero(comp.direct_weights, axis=0).tolist() == [1] * n_max
     assert comp.direct_weights.sum(axis=0).tobytes() == weights.tobytes()
