@@ -51,11 +51,16 @@ def test_weight_moment_closed_forms():
         measure.weight_moment(0.5, 0, 0.0)
 
 
-def test_density_degenerate():
-    # at gamma 0 every density is one and every centred profile zero
+def test_chaos_density_degenerate():
+    # at gamma 0 every density is one
     fields = sampler.block_fields(range(7), sampler.GridSpec(256), seed=21)
-    for _, variance, field, density in measure.densities(0.0, fields):
+    for _, _, _, density in measure.densities(0.0, fields):
         assert np.array_equal(density, np.ones(256))
+
+
+def test_weight_field_degenerate():
+    # at gamma 0 every level weight is one, so every centred profile is zero
+    for _, variance, field in sampler.block_fields(range(7), sampler.GridSpec(256), seed=21):
         profile = spectral.centered_profile(np.ones(256), 0.0, field, variance)
         assert np.array_equal(profile, np.zeros(256))
 
