@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -200,16 +201,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # Rejects gamma, --grid, --m and --seed before any sampling.
+    # Rejects gamma, --grid and --m here and --seed in block_fields, before any sampling.
     measure.validate_gamma(args.gamma)
     grid = GridSpec(args.grid)
     if grid.size < spectral.NYQUIST_FRACTION:
         raise ValueError(f"grid size must be at least {spectral.NYQUIST_FRACTION}, got {grid.size}")
-    if args.m < 0:
-        raise ValueError(f"depth must be a non-negative integer, got {args.m}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {args.seed}")
-    for _, _, _, density in measure.densities(args.gamma, block_fields(range(args.m + 1), grid, args.seed)):
+    fields = block_fields(range(geometry._integer(args.m, "depth", 0) + 1), grid, args.seed)
+    for _, _, _, density in measure.densities(args.gamma, fields):
         pass  # levels 0..m one at a time; the last density is depth m's
     spectrum = spectral.fourier_coefficients(density, grid.size // spectral.NYQUIST_FRACTION)
     out = Path(args.out)
@@ -272,11 +270,11 @@ def cmd_dims(args: argparse.Namespace) -> int:
     l2 = harness.l2_fit_from_result(result)
     payload = {
         "version": harness.VERSION,
-        "config": harness.config_to_dict(config),
+        "config": asdict(config),
         "fourier_dimension": estimators.fourier_dimension(args.gamma),
         "correlation_dimension": estimators.correlation_dimension(args.gamma),
-        "decay": estimators.slope_fit_to_dict(decay),
-        "l2": estimators.slope_fit_to_dict(l2),
+        "decay": asdict(decay),
+        "l2": asdict(l2),
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -294,24 +292,25 @@ def cmd_clt(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     result = harness.load_result(args.infile)
+    decay = harness.decay_fit_from_result(result, args.fit_lo, args.fit_hi)
+    l2 = harness.l2_fit_from_result(result) if result.config.mass_levels else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.export_result(result, "csv", out / "blocks.csv")
-    decay = harness.decay_fit_from_result(result, args.fit_lo, args.fit_hi)
     estimators.write_slope_csv(decay, out / "slopes.csv")
     summary = {
         "version": harness.VERSION,
-        "config": harness.config_to_dict(result.config),
+        "config": asdict(result.config),
         "count": result.count,
         "fourier_dimension": estimators.fourier_dimension(result.config.gamma),
-        "decay": estimators.slope_fit_to_dict(decay),
+        "decay": asdict(decay),
         "unit_mass_z": harness.unit_mass_z(result),
     }
     if result.config.norm_depths:
         means = (result.norm_sum / result.count).tolist()
         summary["uniform_bound"] = dict(zip(map(str, result.config.norm_depths), means))
-    if result.config.mass_levels:
-        summary["l2"] = estimators.slope_fit_to_dict(harness.l2_fit_from_result(result))
+    if l2 is not None:
+        summary["l2"] = asdict(l2)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

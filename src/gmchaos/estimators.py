@@ -12,7 +12,7 @@ uniform-boundedness probe for the weighted coefficient martingale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -321,7 +321,3 @@ def write_profile_csv(rows, path) -> None:
         fh.write("block_lo,block_hi,variance\n")
         for lo, hi, value in rows:
             fh.write(f"{lo},{hi},{float(value)!r}\n")
-
-
-def slope_fit_to_dict(fit: SlopeFit) -> dict:
-    return asdict(fit)

@@ -26,10 +26,25 @@ LN2 = math.log(2.0)
 Y_CUTOFF = 1.0e4
 
 
+def _integer(value, name: str, low: int | None = None) -> int:
+    """The integer rule: a Python or numpy integer at least `low` as int, else refused by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {int(value)}")
+    return int(value)
+
+
+def _number(value, name: str) -> float:
+    """The number rule: a Python or numpy real as float; a bool or string is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_level(j: int) -> int:
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0:
-        raise ValueError(f"level index must be a non-negative integer, got {j!r}")
-    return int(j)
+    return _integer(j, "level index", 0)
 
 
 def _as_lags(h):

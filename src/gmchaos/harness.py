@@ -10,9 +10,12 @@ calling process: numpy's FFTs, normal draws and exp release the interpreter
 lock, and all threads share the sampler's cache of block filters.  Each
 worker, the calling thread when serial, runs one contiguous run of replica
 ids in one work array, passed to run_replica, in which it colours,
-exponentiates and transforms every replica of the run.
+exponentiates and transforms every replica of the run.  The calling
+thread then feeds the tree one replica's aggregate at a time, as a binary
+counter holding at most log2(R) + 1 aggregates (the R records stay).
 Aggregates are mergeable: counts and histograms merge exactly, floating
-accumulators merge associatively to rounding.
+accumulators merge associatively to rounding.  ExperimentConfig checks its
+fields with geometry's integer and number rules, as every library entry does.
 
 Block medians come from one sparse histogram of log|mu_hat|^2 per dyadic
 frequency block.  Its integer counts merge by addition, so the histogram
@@ -29,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import estimators, measure, spectral
+from . import estimators, geometry, measure, spectral
 from .sampler import GridSpec, block_fields, scratch_size
 
 VERSION = "gmchaos 0.5.0"
@@ -59,12 +62,8 @@ class ExperimentConfig:
     mass_levels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("depth", "grid_size", "n_max", "replicas", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        for name in ("gamma", "tau"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name, low in {"depth": None, "grid_size": None, "n_max": None, "replicas": 1, "seed": 0}.items():
+            object.__setattr__(self, name, geometry._integer(getattr(self, name), name, low))
         measure.validate_gamma(self.gamma)
         grid = GridSpec(self.grid_size)  # validates power of two
         spectral._check_n_max(self.n_max, grid)
@@ -73,17 +72,13 @@ class ExperimentConfig:
                 f"depth {self.depth} too shallow for n_max {self.n_max}; "
                 f"need depth >= log2(n_max) + 2"
             )
-        if self.replicas < 1:
-            raise ValueError("replicas must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         spectral._check_tau(self.tau)
         estimators.validate_statistic(self.statistic)
         for name in ("norm_depths", "mass_levels"):
             entries = getattr(self, name)
             if not np.iterable(entries):
                 raise ValueError(f"{name} must be a sequence of integers, got {entries!r}")
-            values = tuple(_integer(v, f"{name} entry") for v in entries)
+            values = tuple(geometry._integer(v, f"{name} entry") for v in entries)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name.replace('_', ' ')} must not repeat, got {values}")
             object.__setattr__(self, name, values)
@@ -91,6 +86,8 @@ class ExperimentConfig:
             raise ValueError("norm depths must lie within the construction depth")
         if any(not 0 <= v <= grid.log2_size for v in self.mass_levels):
             raise ValueError("mass levels must be resolvable on the grid")
+        if self.mass_levels:  # none, or enough for the L2 fit
+            estimators.validate_l2_levels(self.mass_levels)
         self.exponents()  # norm depths need a feasible (p, q) plan
 
     @property
@@ -105,13 +102,6 @@ class ExperimentConfig:
     def blocks(self) -> list[tuple[int, int]]:
         """First and last frequency of each dyadic block meeting 1..n_max, by exponent."""
         return [(n.start, n[-1]) for n in spectral.block_frequencies(self.n_max)]
-
-
-def _integer(value, name: str) -> int:
-    """A Python or numpy integer as int; a bool, float or string is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -315,17 +305,21 @@ def merge_results(a: EnsembleResult, b: EnsembleResult) -> EnsembleResult:
     )
 
 
-def _tree_reduce(items: list[EnsembleResult], config: ExperimentConfig) -> EnsembleResult:
-    # Fixed pairwise tree keyed by position: the reduction order never
-    # depends on scheduling, so floating sums are bit-stable.
-    if not items:
-        return empty_result(config)
-    while len(items) > 1:
-        items = [
-            merge_results(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
-            for i in range(0, len(items), 2)
-        ]
-    return items[0]
+def _tree_reduce(items, config: ExperimentConfig) -> EnsembleResult:
+    """The fixed pairwise tree over the items' positions (odd tails carried
+    up) as a binary counter: each item merges into the stack top (left +
+    right) while their sizes match, and the stack folds right to left at the
+    end.  The order never depends on scheduling, so sums are bit-stable."""
+    stack = []  # (subtree size, aggregate), sizes strictly decreasing
+    for item in items:
+        size = 1
+        while stack and stack[-1][0] == size:
+            item, size = merge_results(stack.pop()[1], item), 2 * size
+        stack.append((size, item))
+    result = stack.pop()[1] if stack else empty_result(config)
+    while stack:
+        result = merge_results(stack.pop()[1], result)
+    return result
 
 
 def run_ensemble(
@@ -341,15 +335,15 @@ def run_ensemble(
     pool thread.  Each run allocates one work array and hands it to every
     run_replica call of the run.  The reduction follows a fixed pairwise
     tree over the id order, so any number of workers produces identical
-    bytes.
+    bytes; the calling thread feeds it one singleton at a time after the pool.
     """
-    if workers is not None and _integer(workers, "workers") < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers is not None:
+        geometry._integer(workers, "workers", 1)
     try:
         lo, hi = replica_range if replica_range is not None else (0, config.replicas)
     except (TypeError, ValueError):
         raise ValueError(f"replica_range must be a (lo, hi) pair, got {replica_range!r}") from None
-    lo, hi = _integer(lo, "replica_range entry"), _integer(hi, "replica_range entry")
+    lo, hi = geometry._integer(lo, "replica_range entry"), geometry._integer(hi, "replica_range entry")
     if not 0 <= lo <= hi:
         raise ValueError(f"replica_range must have 0 <= lo <= hi, got ({lo}, {hi})")
     count = min(workers or 1, hi - lo)
@@ -360,8 +354,7 @@ def run_ensemble(
             parts = list(pool.map(_run, [config] * len(runs), runs))
     else:
         parts = [_run(config, ids) for ids in runs]
-    records = [record for part in parts for record in part]
-    return _tree_reduce([_singleton(config, rec) for rec in records], config)
+    return _tree_reduce((_singleton(config, record) for part in parts for record in part), config)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +416,6 @@ def clt_profile_from_result(
 
 # ---------------------------------------------------------------------------
 # Persistence
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)
 
 
 def _check_keys(data: dict, expected, what: str) -> None:
@@ -513,7 +502,7 @@ def _decode(data, empty):
 def export_result(result: EnsembleResult, fmt: str, path) -> None:
     """JSON is the archival format (loadable); CSV is the block-stat table."""
     if fmt == "json":
-        payload = {"version": VERSION, "config": config_to_dict(result.config)}
+        payload = {"version": VERSION, "config": asdict(result.config)}
         payload.update((name, getattr(result, name)) for name in FIELDS)
         encode = json.JSONEncoder(allow_nan=False).encode  # NaN and infinity are not JSON
         # The bytes of json.dumps, encoded in small pieces and written one by one.

@@ -39,7 +39,7 @@ SUBCRITICAL = (False, SQRT2, "gamma must lie in [0, sqrt(2))")
 def validate_gamma(gamma: float, bound: tuple[bool, float, str] = SUBCRITICAL) -> float:
     """Intermittency parameter check against `bound` = (zero excluded, upper
     limit, message naming the range), by default the sub-critical [0, sqrt 2)."""
-    g = float(gamma)
+    g = geometry._number(gamma, "gamma")
     zero_excluded, upper, message = bound
     if not (0.0 < g if zero_excluded else 0.0 <= g) or not g < upper:
         raise ValueError(f"{message}, got {gamma!r}")

@@ -55,10 +55,10 @@ class GridSpec:
     size: int
 
     def __post_init__(self) -> None:
-        g = self.size
-        if not isinstance(g, (int, np.integer)) or g < 2 or g & (g - 1):
+        g = geometry._integer(self.size, "grid size")
+        if g < 2 or g & (g - 1):
             raise ValueError(f"grid size must be a power of two >= 2, got {g!r}")
-        object.__setattr__(self, "size", int(g))
+        object.__setattr__(self, "size", g)
 
     @property
     def log2_size(self) -> int:
@@ -166,8 +166,8 @@ def block_fields(breaks, grid: GridSpec, seed: int, replica: int = 0, work: np.n
     the levels one at a time, each from its own stream.  Every block is
     coloured in the first scratch_size(grid) floats of the float64 array
     `work` (None allocates one), so a field is a view into it, valid only
-    until the iterator advances.  Each break is checked as a level index
-    before this returns, so nothing is drawn for refused breaks.
+    until the iterator advances.  The breaks (as level indices), seed and
+    replica are checked before this returns, so nothing is drawn for them.
     """
     try:
         breaks = tuple(breaks)
@@ -176,6 +176,7 @@ def block_fields(breaks, grid: GridSpec, seed: int, replica: int = 0, work: np.n
         depths = ()
     if not depths or any(a >= b for a, b in zip(depths, depths[1:])):
         raise ValueError(f"breaks must be increasing non-negative depths, got {breaks!r}")
+    seed, replica = geometry._integer(seed, "seed", 0), geometry._integer(replica, "replica", 0)
     blocks = list(zip((0, *(b + 1 for b in depths[:-1])), depths))
     variances = [sum(map(geometry.level_variance, range(lo, hi + 1))) for lo, hi in blocks]
     work = np.empty(scratch_size(grid)) if work is None else work

@@ -34,17 +34,17 @@ NYQUIST_FRACTION = 8
 
 
 def _check_tau(tau: float) -> float:
-    t = float(tau)
+    t = geometry._number(tau, "tau")
     if not 0.0 <= t < 1.0:
         raise ValueError(f"tau must lie in [0, 1), got {tau!r}")
     return t
 
 
 def _check_n_max(n_max: int, grid: GridSpec) -> int:
-    limit = grid.size // NYQUIST_FRACTION
+    n_max, limit = geometry._integer(n_max, "n_max"), grid.size // NYQUIST_FRACTION
     if not 1 <= n_max <= limit:
         raise ValueError(f"n_max must lie in 1..{limit} for grid size {grid.size}")
-    return int(n_max)
+    return n_max
 
 
 def decay_weights(n_max: int, tau: float) -> np.ndarray:

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from gmchaos import cli, harness
+from gmchaos import cli, harness, rng
 
 
 def test_verify_passes(capsys):
@@ -174,7 +174,7 @@ def test_report_from_archive(tmp_path):
     assert "uniform_bound" not in summary
 
 
-def test_report_reads_uniform_bound_depths(tmp_path):
+def test_report_reads_uniform_bound_depths(tmp_path, capsys):
     config = harness.ExperimentConfig(
         gamma=0.5, depth=7, grid_size=256, n_max=32, tau=0.5, replicas=4, seed=41,
         norm_depths=(5, 7),
@@ -182,6 +182,10 @@ def test_report_reads_uniform_bound_depths(tmp_path):
     result = harness.run_ensemble(config)
     archive = tmp_path / "ens.json"
     harness.export_result(result, "json", archive)
+    # the default window [8, 32] holds two complete blocks: refused before any file is written
+    error = usage_error(capsys, ["report", "--in", str(archive), "--out", str(tmp_path / "r")])
+    assert error == "gmchaos: error: need at least 4 complete dyadic blocks in [8, 32]"
+    assert not (tmp_path / "r").exists()
     assert cli.main(["report", "--in", str(archive), "--out", str(tmp_path / "r"),
                      "--fit-lo", "1"]) == 0
     summary = json.loads((tmp_path / "r" / "summary.json").read_text())
@@ -268,14 +272,14 @@ def test_clt_validates_before_sampling(tmp_path, monkeypatch, capsys, flags, mes
         (["--gamma", "1.5"], "gamma must lie in [0, sqrt(2)), got 1.5"),
         (["--grid", "4"], "grid size must be at least 8, got 4"),
         (["--grid", "12"], "grid size must be a power of two >= 2, got 12"),
-        (["--m", "-1"], "depth must be a non-negative integer, got -1"),
+        (["--m", "-1"], "depth must be non-negative, got -1"),
         (["--seed", "-1"], "seed must be non-negative, got -1"),
     ],
     ids=["gamma-supercritical", "grid-below-nyquist", "grid-not-power-of-two", "m-negative", "seed-negative"],
 )
 def test_simulate_validates_before_sampling(tmp_path, monkeypatch, capsys, flags, message):
     ran = []
-    monkeypatch.setattr(cli, "block_fields", lambda *args: ran.append(args))
+    monkeypatch.setattr(rng, "field_stream", lambda *key: ran.append(key))
     out = tmp_path / "out"
     argv = ["simulate", "--gamma", "0.5", "--m", "6", "--grid", "256", "--seed", "3",
             "--out", str(out)] + flags

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,10 +91,10 @@ def test_negative_lag_rejected():
 def test_level_index_validated():
     with pytest.raises(ValueError):
         geometry.level_covariance(-1, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^level index must be non-negative, got -2$"):
         geometry.level_variance(-2)
     for bad in (True, 1.0, "1"):
-        with pytest.raises(ValueError, match="level index must be a non-negative integer"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'level index must be an integer, got {bad!r}')}$"):
             geometry.level_variance(bad)
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,8 @@ def test_config_validation():
         small_config(norm_depths=(5, 5, 7))
     with pytest.raises(ValueError, match=r"mass levels must not repeat, got \(2, 2, 3\)"):
         small_config(mass_levels=(2, 2, 3))
+    with pytest.raises(ValueError, match=r"^an L2 slope needs at least two levels, got \[3\]$"):
+        small_config(mass_levels=(3,))  # mass levels are none or at least two
     with pytest.raises(ValueError):
         small_config(tau=1.0)
     with pytest.raises(estimators.NoFeasibleExponentsError):
@@ -90,7 +93,7 @@ def test_config_validation():
     assert type(numpy_typed.depth) is type(numpy_typed.seed) is type(numpy_typed.norm_depths[0]) is int
 
 
-def test_replica_determinism_and_separation():
+def test_replica_determinism_and_separation(monkeypatch):
     config = small_config()
     a = harness.run_replica(config, 3)
     b = harness.run_replica(config, 3)
@@ -98,6 +101,13 @@ def test_replica_determinism_and_separation():
     assert a.total_mass == b.total_mass
     c = harness.run_replica(config, 4)
     assert not np.array_equal(a.coefficients, c.coefficients)
+    # a replica id that is not a non-negative integer is refused before any draw
+    opened = []
+    monkeypatch.setattr(rng, "field_stream", lambda *key: opened.append(key))
+    for bad, message in ((1.5, "an integer, got 1.5"), (True, "an integer, got True"), (-1, "non-negative, got -1")):
+        with pytest.raises(ValueError, match=f"^replica must be {message}$"):
+            harness.run_replica(config, bad)
+    assert opened == []
 
 
 @pytest.mark.parametrize(
@@ -384,13 +394,36 @@ def _reference_ensemble(config, lo, hi):
 
 
 @pytest.mark.parametrize("statistic", ["mean", "median"])
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("lo, hi", [(0, 1), (0, 2), (0, 3), (0, 8), (0, 13), (5, 18)])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("lo, hi", [(0, 1), (0, 2), (0, 3), (0, 7), (0, 8), (0, 13), (0, 16), (0, 17), (5, 18)])
 def test_run_ensemble_bytes_match_the_unique_and_add_at_reference(tmp_path, statistic, workers, lo, hi):
     config = small_config(replicas=hi, statistic=statistic)
     harness.export_result(harness.run_ensemble(config, (lo, hi), workers), "json", tmp_path / "run.json")
     harness.export_result(_reference_ensemble(config, lo, hi), "json", tmp_path / "reference.json")
     assert (tmp_path / "run.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def test_run_ensemble_holds_log2_r_aggregates(monkeypatch):
+    """The reduction keeps at most ceil(log2 R) + 2 aggregates alive at once:
+    the counter's stack, plus the operands and result of one merge."""
+    refs, peak = [], 0
+
+    def tracked(make):
+        def wrapper(*args):
+            nonlocal peak
+            result = make(*args)
+            refs.append(weakref.ref(result))
+            peak = max(peak, sum(ref() is not None for ref in refs))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "_singleton", tracked(harness._singleton))
+    monkeypatch.setattr(harness, "merge_results", tracked(harness.merge_results))
+    replicas = 100
+    harness.run_ensemble(small_config(replicas=replicas), workers=2)
+    assert len(refs) == 2 * replicas - 1  # R singletons and R - 1 merges
+    assert peak <= math.ceil(math.log2(replicas)) + 2
 
 
 def test_run_replica_draws_one_field_per_read_depth(monkeypatch):
@@ -638,7 +671,7 @@ def test_load_names_unknown_and_missing_keys(tmp_path):
         harness.load_result(_archive(tmp_path, extra=1))
     with pytest.raises(ValueError, match="missing keys \\['norm_sum'\\]"):
         harness.load_result(_archive(tmp_path, norm_sum=None))
-    config = harness.config_to_dict(small_config(replicas=2))
+    config = dataclasses.asdict(small_config(replicas=2))
     with pytest.raises(ValueError, match="config: missing keys \\[\\], unknown keys \\['fmt'\\]"):
         harness.load_result(_archive(tmp_path, config={**config, "fmt": "json"}))
 

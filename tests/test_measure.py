@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmchaos import measure, sampler, spectral
+from gmchaos import estimators, measure, sampler, spectral
 
 
 def _density(gamma, depth=6, size=256, seed=21, replica=0):
@@ -16,12 +17,22 @@ def _density(gamma, depth=6, size=256, seed=21, replica=0):
     return density
 
 
-def test_gamma_validation():
+def test_gamma_validation(monkeypatch):
     measure.validate_gamma(0.0)
     measure.validate_gamma(1.41)
     for bad in (-0.1, math.sqrt(2.0), 2.0):
         with pytest.raises(ValueError):
             measure.validate_gamma(bad)
+    # a string or a bool is refused by name, not converted, and before any draw
+    opened = []
+    monkeypatch.setattr(sampler.rng, "field_stream", lambda *key: opened.append(key))
+    fields = sampler.block_fields(range(3), sampler.GridSpec(64), seed=1)
+    checks = (measure.validate_gamma, estimators.fourier_dimension, lambda g: next(measure.densities(g, fields)))
+    for bad in ("0.5", True):
+        for check in checks:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'gamma must be a number, got {bad!r}')}$"):
+                check(bad)
+    assert opened == []
 
 
 def test_level_weight_unit_mean():

@@ -308,4 +308,15 @@ def test_block_hierarchy_refusals(monkeypatch):
     for bad in ((), (-1, 3), (3, 3), (4, 2), (True, 3), (1.5, 3), (2.0,), ("2",), 3):
         with pytest.raises(ValueError, match=re.escape(f"breaks must be increasing non-negative depths, got {bad!r}")):
             sampler.block_fields(bad, grid, seed=3)
+    bad_keys = [
+        (1.5, 0, "seed must be an integer, got 1.5"),
+        (True, 0, "seed must be an integer, got True"),
+        (-1, 0, "seed must be non-negative, got -1"),
+        (3, 1.5, "replica must be an integer, got 1.5"),
+        (3, True, "replica must be an integer, got True"),
+        (3, -1, "replica must be non-negative, got -1"),
+    ]
+    for seed, replica, message in bad_keys:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sampler.block_fields((2, 5), grid, seed, replica)
     assert opened == []  # refused before any draw

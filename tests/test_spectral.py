@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,9 @@ def test_fourier_coefficients_are_the_scaled_fft_bitwise(fields):
     for n_max in (1, 17, 128):
         expected = np.fft.rfft(density)[1 : n_max + 1] / density.size
         assert spectral.fourier_coefficients(density, n_max).tobytes() == expected.tobytes()
+    for bad in (2.5, True, "8"):  # refused by name, not truncated
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n_max must be an integer, got {bad!r}')}$"):
+            spectral.fourier_coefficients(density, bad)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +132,10 @@ def test_localized_vector_degenerate(fields):
 def test_localized_vector_against_direct_sum(fields):
     gamma, tau = 0.5, 0.3
     interval = spectral.DyadicInterval(2, 3)
-    vec = spectral.localized_vector(_stream(fields, gamma)[1][3], interval, tau, 16)
+    profile = _stream(fields, gamma)[1][3]
+    vec = spectral.localized_vector(profile, interval, tau, 16)
+    with pytest.raises(ValueError, match="^tau must be a number, got '0.3'$"):
+        spectral.localized_vector(profile, interval, "0.3", 16)
     grid = sampler.GridSpec(1024)
     t = grid.times()
     weights = [np.exp(gamma * field - 0.5 * gamma**2 * variance) for _, variance, field in fields]
