@@ -24,8 +24,6 @@ from .estimators import (
     norm_powers,
     power_law_spectrum,
     uniform_bound_probe,
-    write_profile_csv,
-    write_slope_csv,
 )
 from .geometry import (
     OverlapQuadrature,
@@ -54,7 +52,6 @@ from .measure import (
     l2_sums,
     weight_moment,
     weight_moment_mc,
-    write_density_csv,
 )
 from .sampler import (
     GridSpec,
@@ -77,7 +74,6 @@ from .spectral import (
     second_moment,
     segment_integral,
     separation_bound,
-    write_spectrum_csv,
 )
 
 __version__ = "0.5.0"

@@ -212,8 +212,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spectrum = spectral.fourier_coefficients(density, grid.size // spectral.NYQUIST_FRACTION)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    measure.write_density_csv(density, out / "density.csv")
-    spectral.write_spectrum_csv(spectrum, out / "spectrum.csv")
+    # simulate's two tables end their lines with \r\n, part of their file format (README).
+    harness.write_csv(out / "density.csv", "i,t,value", zip(range(grid.size), grid.times(), density), "\r\n")
+    # abs2 squares the scalar modulus; weighted_abs is |mu_hat(n)| (the weight n^0 = 1 of tau 0)
+    # from numpy's vectorised modulus, which may differ from the scalar one in the last bit.
+    abs2 = [abs(c) ** 2 for c in spectrum]
+    rows = zip(range(1, spectrum.size + 1), spectrum.real, spectrum.imag, abs2, np.abs(spectrum))
+    harness.write_csv(out / "spectrum.csv", "n,re,im,abs2,weighted_abs", rows, "\r\n")
     print(f"wrote {out / 'density.csv'} and {out / 'spectrum.csv'}")
     return 0
 
@@ -236,25 +241,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     result = harness.run_ensemble(_build_config(args), workers=args.workers)
     if args.format == "json":
         harness.export_result(result, "json", args.out)
-    else:
-        _write_ensemble_spectrum_csv(result, args.out)
+    else:  # per frequency (n, re, im, abs2[, quantile_50]), quantile_50 repeated on its block's rows
+        mean = result.coeff_sum / result.count
+        header, columns = "n,re,im,abs2", [mean.real, mean.imag, result.abs2_sum / result.count]
+        if result.config.statistic == "median":
+            medians = [math.exp(stat) for stat in harness.block_stats(result)]
+            sizes = [len(n) for n in spectral.block_frequencies(result.config.n_max)]
+            header, columns = header + ",quantile_50", columns + [np.repeat(medians, sizes)]
+        harness.write_csv(args.out, header, zip(range(1, result.config.n_max + 1), *columns))
     print(f"wrote {args.out}")
     return 0
-
-
-def _write_ensemble_spectrum_csv(result: harness.EnsembleResult, path) -> None:
-    """Per-frequency table (n, re, im, abs2[, quantile_50]); quantile_50 is
-    exp of the block median of log |mu_hat|^2, repeated on its block's rows."""
-    mean = result.coeff_sum / result.count
-    header, columns = "n,re,im,abs2", [mean.real, mean.imag, result.abs2_sum / result.count]
-    if result.config.statistic == "median":
-        medians = [math.exp(stat) for _, _, stat in harness.block_table(result)]
-        sizes = [len(n) for n in spectral.block_frequencies(result.config.n_max)]
-        header, columns = header + ",quantile_50", columns + [np.repeat(medians, sizes)]
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for n, row in enumerate(zip(*columns), start=1):
-            fh.write(",".join([str(n), *(repr(float(v)) for v in row)]) + "\n")
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
@@ -285,7 +281,7 @@ def cmd_clt(args: argparse.Namespace) -> int:
     estimators.validate_rescaling(args.gamma, args.reps, args.nmax, args.block_lo, args.block_hi)
     result = harness.run_ensemble(_build_config(args), workers=args.workers)
     profile = harness.clt_profile_from_result(result, args.block_lo, args.block_hi)
-    estimators.write_profile_csv(profile, args.out)
+    harness.write_csv(args.out, "block_lo,block_hi,variance", profile)
     print(f"wrote {args.out}")
     return 0
 
@@ -297,7 +293,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.export_result(result, "csv", out / "blocks.csv")
-    estimators.write_slope_csv(decay, out / "slopes.csv")
+    slopes = [(int(lo), int(hi), stat) for lo, hi, _, stat in decay.blocks]
+    harness.write_csv(out / "slopes.csv", "block_lo,block_hi,stat", slopes)
     summary = {
         "version": harness.VERSION,
         "config": asdict(result.config),

@@ -160,20 +160,21 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
-def dyadic_block_fit(block_stat, n_lo: int, n_hi: int, n_max: int, statistic: str) -> SlopeFit:
+def dyadic_block_fit(stats, n_lo: int, n_hi: int, n_max: int, statistic: str) -> SlopeFit:
     """Regress a per-block statistic of log |mu_hat(n)|^2 on log n.
 
-    For each block exponent a of spectral.dyadic_blocks(n_lo, n_hi, n_max),
-    `block_stat(a)` is regressed on the mean log-frequency of the block;
+    `stats` holds one statistic per block of spectral.block_columns(n_max),
+    by block exponent a.  For each a of spectral.dyadic_blocks(n_lo, n_hi,
+    n_max), stats[a] is regressed on the mean log-frequency of the block;
     the slope estimates minus the decay exponent.  decay_slope feeds it
-    pooled raw values, harness.decay_fit_from_result ensemble aggregates.
+    pooled raw values, harness.block_stats ensemble aggregates.
     """
     frequencies = spectral.block_frequencies(n_max)
     blocks = []
     for a in spectral.dyadic_blocks(n_lo, n_hi, n_max):
         n = frequencies[a]
         x = float(np.mean(np.log(np.arange(n.start, n.stop))))
-        blocks.append((float(n.start), float(n.stop), x, float(block_stat(a))))
+        blocks.append((float(n.start), float(n.stop), x, float(stats[a])))
     return _slope_fit(blocks, statistic)
 
 
@@ -197,12 +198,8 @@ def decay_slope(abs2, n_lo: int, n_hi: int, statistic: str = "median") -> SlopeF
     reducer = {"mean": np.mean, "median": np.median}[validate_statistic(statistic)]
     if statistic == "median" and replicas < 30:
         raise ValueError(f"median statistic needs at least 30 replicas, got {replicas}")
-    columns = spectral.block_columns(n_max)
-
-    def block_stat(a: int) -> float:
-        return float(reducer(np.log(np.maximum(data[:, columns[a]], LOG_FLOOR))))
-
-    return dyadic_block_fit(block_stat, n_lo, n_hi, n_max, statistic)
+    stats = [float(reducer(np.log(np.maximum(data[:, c], LOG_FLOOR)))) for c in spectral.block_columns(n_max)]
+    return dyadic_block_fit(stats, n_lo, n_hi, n_max, statistic)
 
 
 def validate_l2_levels(levels) -> list[int]:
@@ -306,18 +303,3 @@ def uniform_bound_probe(
     means = [np.mean(norm_powers(np.atleast_2d(spectra_by_depth[d]), tau, p, q)) for d in depths]
     return depths, np.array(means)
 
-
-def write_slope_csv(fit: SlopeFit, path) -> None:
-    """Block table of a slope fit: (block_lo, block_hi, stat) with header."""
-    with open(path, "w", newline="") as fh:
-        fh.write("block_lo,block_hi,stat\n")
-        for lo, hi, _x, y in fit.blocks:
-            fh.write(f"{int(lo)},{int(hi)},{y!r}\n")
-
-
-def write_profile_csv(rows, path) -> None:
-    """Variance-profile table: (block_lo, block_hi, variance) with header."""
-    with open(path, "w", newline="") as fh:
-        fh.write("block_lo,block_hi,variance\n")
-        for lo, hi, value in rows:
-            fh.write(f"{lo},{hi},{float(value)!r}\n")

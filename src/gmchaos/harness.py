@@ -20,7 +20,11 @@ fields with geometry's integer and number rules, as every library entry does.
 Block medians come from one sparse histogram of log|mu_hat|^2 per dyadic
 frequency block.  Its integer counts merge by addition, so the histogram
 does not depend on merge order, and a median read from it lies within half
-a bin of the exact pooled median of the same replicas.
+a bin of the exact pooled median of the same replicas.  block_stats gives
+each block's decay statistic, the list every decay fit of an ensemble reads.
+
+The module writes the JSON archive (export_result), and every CSV table the
+CLI writes goes through its write_csv.
 """
 
 from __future__ import annotations
@@ -98,10 +102,6 @@ class ExperimentConfig:
         if not self.norm_depths or self.gamma == 0.0:
             return None
         return estimators.find_exponents(self.gamma, self.tau)
-
-    def blocks(self) -> list[tuple[int, int]]:
-        """First and last frequency of each dyadic block meeting 1..n_max, by exponent."""
-        return [(n.start, n[-1]) for n in spectral.block_frequencies(self.n_max)]
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def _accumulators(config: ExperimentConfig) -> dict:
         "mass_sq_sum": 0.0,
         "level_sq_sum": np.zeros(len(config.mass_levels)),
         "norm_sum": np.zeros(len(config.norm_depths)),
-        "histograms": tuple(LogHistogram.of(np.empty(0)) for _ in config.blocks()),
+        "histograms": tuple(LogHistogram.of(np.empty(0)) for _ in spectral.block_columns(config.n_max)),
     }
 
 
@@ -361,20 +361,15 @@ def run_ensemble(
 # Derived fits
 
 
-def block_table(result: EnsembleResult) -> list[tuple[int, int, float]]:
-    """Per-block decay statistic (block_lo, block_hi, stat of log |mu_hat|^2):
+def block_stats(result: EnsembleResult) -> list[float]:
+    """Each dyadic block's decay statistic of log |mu_hat|^2, by block exponent:
     the mean from the log sums, or the median from the block's histogram."""
     if result.count == 0:
         raise ValueError("empty ensemble has no statistics")
-    rows = []
-    blocks = zip(result.config.blocks(), spectral.block_columns(result.config.n_max), result.histograms)
-    for (lo, hi), columns, histogram in blocks:
-        if result.config.statistic == "mean":
-            stat = float(np.mean(result.log_abs2_sum[columns] / result.count))
-        else:
-            stat = histogram.median()
-        rows.append((lo, hi, stat))
-    return rows
+    if result.config.statistic == "median":
+        return [histogram.median() for histogram in result.histograms]
+    logs = result.log_abs2_sum / result.count
+    return [float(np.mean(logs[columns])) for columns in spectral.block_columns(result.config.n_max)]
 
 
 def decay_fit_from_result(
@@ -382,9 +377,8 @@ def decay_fit_from_result(
 ) -> estimators.SlopeFit:
     """Decay-slope fit re-derived from the aggregate accumulators."""
     config = result.config
-    stats = [stat for _, _, stat in block_table(result)]
     n_lo, n_hi = 8 if n_lo is None else n_lo, config.n_max if n_hi is None else n_hi
-    return estimators.dyadic_block_fit(lambda a: stats[a], n_lo, n_hi, config.n_max, config.statistic)
+    return estimators.dyadic_block_fit(block_stats(result), n_lo, n_hi, config.n_max, config.statistic)
 
 
 def l2_fit_from_result(result: EnsembleResult) -> estimators.SlopeFit:
@@ -499,6 +493,16 @@ def _decode(data, empty):
     return value
 
 
+def write_csv(path, header: str, rows, end: str = "\n") -> None:
+    """The one table writer: the header line, then one line per row, each
+    line ended by `end`.  An int cell is written with str, any other cell as
+    repr(float(cell)), so a float is written in full and read back exactly."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + end)
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) + end)
+
+
 def export_result(result: EnsembleResult, fmt: str, path) -> None:
     """JSON is the archival format (loadable); CSV is the block-stat table."""
     if fmt == "json":
@@ -513,10 +517,8 @@ def export_result(result: EnsembleResult, fmt: str, path) -> None:
         with open(path, "w") as fh:
             fh.writelines(pieces)
     elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write("block_lo,block_hi,stat\n")
-            for lo, hi, stat in block_table(result):
-                fh.write(f"{lo},{hi},{stat!r}\n")
+        stats = zip(spectral.block_frequencies(result.config.n_max), block_stats(result))
+        write_csv(path, "block_lo,block_hi,stat", [(n.start, n[-1], stat) for n, stat in stats])
     else:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
 

@@ -12,12 +12,12 @@ spectral decomposition identities exact at grid level.
 
 Moment and regularity probes sample exact low-dimensional Gaussians from the
 closed-form covariances instead of grid fields, so their statistics carry no
-discretization bias.
+discretization bias.  The module writes no files: the CLI writes densities
+through harness.write_csv.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -82,7 +82,8 @@ def densities(gamma: float, fields, work: np.ndarray | None = None):
 def dyadic_masses(density: np.ndarray, level: int) -> np.ndarray:
     """Masses of the 2^level dyadic intervals, left to right."""
     grid = GridSpec(density.size)
-    if not 0 <= level <= grid.log2_size:
+    level = geometry._integer(level, "dyadic level", 0)
+    if level > grid.log2_size:
         raise ValueError(f"dyadic level {level} outside 0..{grid.log2_size}")
     return density.reshape(2**level, -1).sum(axis=1) / grid.size
 
@@ -119,9 +120,10 @@ def weight_moment_mc(
     Draws the level field at a single point from its exact normal law.
     """
     validate_gamma(gamma)
+    n_samples, seed = geometry._integer(n_samples, "n_samples", 1), geometry._integer(seed, "seed", 0)
     var = geometry.level_variance(j)
     gen = rng.probe_stream(seed, _MOMENT_PROBE, j)
-    phi = gen.standard_normal(int(n_samples)) * math.sqrt(var)
+    phi = gen.standard_normal(n_samples) * math.sqrt(var)
     values = np.exp(gamma * phi - 0.5 * gamma**2 * var) ** p
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
@@ -149,11 +151,12 @@ def holder_moment_probe(
     validate_gamma(gamma)
     if not 0.0 < h <= 2.0 ** (-j):
         raise ValueError(f"lag must lie in (0, 2^-{j}]")
+    n_samples, seed = geometry._integer(n_samples, "n_samples", 1), geometry._integer(seed, "seed", 0)
     if n_samples < 10**4:
         raise ValueError("regularity probes need at least 10^4 samples")
     chol = _pair_cholesky(j, h)
     gen = rng.probe_stream(seed, _HOLDER_PROBE, j, int(round(-math.log2(h))))
-    pair = chol @ gen.standard_normal((2, int(n_samples)))
+    pair = chol @ gen.standard_normal((2, n_samples))
     return float(_holder_ratio(gamma, j, p, h, pair).mean())
 
 
@@ -168,12 +171,3 @@ def holder_moment_quadrature(gamma: float, j: int, p: float, h: float, order: in
     pair = _pair_cholesky(j, h) @ std_pair
     return float(np.sum(w2 * _holder_ratio(gamma, j, p, h, pair)))
 
-
-def write_density_csv(density: np.ndarray, path) -> None:
-    """CSV dump with columns (i, t, value), one row per grid point."""
-    times = GridSpec(density.size).times()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "t", "value"])
-        for i, (t, v) in enumerate(zip(times, density)):
-            writer.writerow([i, repr(float(t)), repr(float(v))])

@@ -12,12 +12,12 @@ the global coefficients so that the split is exact at grid level.  The
 module also provides the Abel (summation-by-parts) transform of segment
 sums and a pathwise separation-of-variable bound on each localized
 contribution, with the bound split into deterministic frequency weights
-and pathwise scalars.
+and pathwise scalars.  The module writes no files: the CLI writes
+coefficients through harness.write_csv.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -315,17 +315,4 @@ def separation_bound(
         slack=slack,
         satisfied=y_abs <= bound + slack,
     )
-
-
-def write_spectrum_csv(coefficients: np.ndarray, path) -> None:
-    """CSV dump with columns (n, re, im, abs2, weighted_abs) of mu_hat(n),
-    n = 1..n_max; weighted_abs is |mu_hat(n)| (the weight n^0 = 1 of tau 0),
-    from numpy's vectorised modulus."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re", "im", "abs2", "weighted_abs"])
-        for n, (c, w) in enumerate(zip(coefficients, np.abs(coefficients)), start=1):
-            writer.writerow(
-                [n, repr(float(c.real)), repr(float(c.imag)), repr(float(abs(c) ** 2)), repr(float(w))]
-            )
 

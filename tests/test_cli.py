@@ -14,6 +14,14 @@ def test_verify_passes(capsys):
     assert len(lines) >= 8
 
 
+def table_lines(path, end):
+    """The lines of a table, once every line is checked to end with `end`
+    and to hold no other line break."""
+    lines = path.read_bytes().split(end.encode())
+    assert lines[-1] == b"" and not any(b"\r" in line or b"\n" in line for line in lines)
+    return [line.decode() for line in lines[:-1]]
+
+
 def test_simulate_writes_csv(tmp_path):
     out = tmp_path / "run"
     code = cli.main(
@@ -21,10 +29,11 @@ def test_simulate_writes_csv(tmp_path):
          "--out", str(out)]
     )
     assert code == 0
-    density = (out / "density.csv").read_text().splitlines()
+    # simulate's two tables end their lines with \r\n, every other table with \n
+    density = table_lines(out / "density.csv", "\r\n")
     assert density[0] == "i,t,value"
     assert len(density) == 513
-    spectrum = (out / "spectrum.csv").read_text().splitlines()
+    spectrum = table_lines(out / "spectrum.csv", "\r\n")
     assert spectrum[0] == "n,re,im,abs2,weighted_abs"
     assert len(spectrum) == 65  # 512 / 8 frequencies
 
@@ -43,7 +52,7 @@ def test_spectrum_csv_and_median_column(tmp_path):
          "--reps", "32", "--seed", "2", "--stat", "median", "--out", str(out)]
     )
     assert code == 0
-    lines = out.read_text().splitlines()
+    lines = table_lines(out, "\n")
     assert lines[0] == "n,re,im,abs2,quantile_50"
     assert len(lines) == 129
     row = lines[1].split(",")
@@ -143,7 +152,7 @@ def test_clt_profile_csv(tmp_path):
          "--block-lo", "3", "--block-hi", "6"]
     )
     assert code == 0
-    lines = out.read_text().splitlines()
+    lines = table_lines(out, "\n")
     assert lines[0] == "block_lo,block_hi,variance"
     assert len(lines) == 4
     lo, hi, var = lines[1].split(",")
@@ -161,9 +170,9 @@ def test_report_from_archive(tmp_path):
     out = tmp_path / "report"
     code = cli.main(["report", "--in", str(archive), "--out", str(out)])
     assert code == 0
-    blocks = (out / "blocks.csv").read_text().splitlines()
+    blocks = table_lines(out / "blocks.csv", "\n")
     assert blocks[0] == "block_lo,block_hi,stat"
-    slopes = (out / "slopes.csv").read_text().splitlines()
+    slopes = table_lines(out / "slopes.csv", "\n")
     assert slopes[0] == "block_lo,block_hi,stat"
     assert len(slopes) > 4
     summary = json.loads((out / "summary.json").read_text())

@@ -238,11 +238,16 @@ def test_uniform_bound_probe_finite_nonnegative():
     assert np.all(np.isfinite(means))
 
 
+def _write_slopes(fit, path):
+    """The slope table as `report` writes it: integer block bounds, then the statistic."""
+    harness.write_csv(path, "block_lo,block_hi,stat", [(int(lo), int(hi), y) for lo, hi, _, y in fit.blocks])
+
+
 def test_slope_and_profile_csv(tmp_path):
     n = np.arange(1, 257)
     fit = estimators.decay_slope((n**-0.5)[None, :], 8, 256, statistic="mean")
     path = tmp_path / "slopes.csv"
-    estimators.write_slope_csv(fit, path)
+    _write_slopes(fit, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "block_lo,block_hi,stat"
     assert len(lines) == 1 + len(fit.blocks)
@@ -251,7 +256,7 @@ def test_slope_and_profile_csv(tmp_path):
     float(stat)
 
     prof_path = tmp_path / "profile.csv"
-    estimators.write_profile_csv([(8, 16, 0.25), (16, 32, 0.5)], prof_path)
+    harness.write_csv(prof_path, "block_lo,block_hi,variance", [(8, 16, 0.25), (16, 32, 0.5)])
     lines = prof_path.read_text().splitlines()
     assert lines[0] == "block_lo,block_hi,variance"
     assert lines[1] == "8,16,0.25"
@@ -261,6 +266,6 @@ def test_slope_csv_writes_block_bounds_as_integers(tmp_path):
     n = np.arange(1, 2**21)
     fit = estimators.decay_slope((n**-0.5)[None, :], 2**16, 2**21 - 1, statistic="mean")
     path = tmp_path / "slopes.csv"
-    estimators.write_slope_csv(fit, path)
+    _write_slopes(fit, path)
     bounds = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
     assert bounds == [[str(2**a), str(2 ** (a + 1))] for a in range(16, 21)]

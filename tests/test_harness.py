@@ -300,7 +300,7 @@ def test_export_csv_schema(tmp_path):
     harness.export_result(result, "csv", path)
     lines = path.read_text().splitlines()
     assert lines[0] == "block_lo,block_hi,stat"
-    assert len(lines) == 1 + len(config.blocks())
+    assert len(lines) == 1 + len(spectral.block_frequencies(config.n_max))
     lo, hi, stat = lines[1].split(",")
     assert (int(lo), int(hi)) == (1, 1)
     float(stat)
@@ -310,9 +310,10 @@ def test_histograms_count_every_value_and_are_deterministic():
     config = small_config(grid_size=2048, n_max=256, depth=10, replicas=3,
                           norm_depths=(), mass_levels=())
     result = harness.run_ensemble(config)
-    assert len(result.histograms) == len(config.blocks())
-    for (lo, hi), histogram in zip(config.blocks(), result.histograms):
-        assert histogram.counts.sum() == (hi - lo + 1) * 3
+    blocks = spectral.block_frequencies(config.n_max)
+    assert len(result.histograms) == len(blocks)
+    for n, histogram in zip(blocks, result.histograms):
+        assert histogram.counts.sum() == len(n) * 3
         assert np.all(histogram.counts > 0)
         assert np.all(np.diff(histogram.bins) > 0)
     again = harness.run_ensemble(config)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmchaos import estimators, measure, sampler, spectral
+from gmchaos import cli, estimators, measure, sampler, spectral
 
 
 def _density(gamma, depth=6, size=256, seed=21, replica=0):
@@ -182,6 +182,13 @@ def test_dyadic_masses():
     assert masses.sum() == pytest.approx(measure.dyadic_masses(density, 0)[0], abs=1e-14)
     with pytest.raises(ValueError):
         measure.dyadic_masses(density, 9)  # finer than the 256-point grid
+    # a level goes through the integer rule: not read as level 1, not failed inside reshape
+    for bad in (True, 2.5):
+        message = f"dyadic level must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            measure.dyadic_masses(density, bad)
+    with pytest.raises(ValueError, match=r"^dyadic level must be an integer, got True$"):
+        measure.l2_sums(density, (True, 2))
 
 
 def test_frostman_uniform():
@@ -220,13 +227,28 @@ def test_holder_probe_validation():
         measure.holder_moment_probe(0.5, 3, 2.0, 0.05, 10**3)  # too few samples
     with pytest.raises(ValueError):
         measure.holder_moment_quadrature(0.5, 3, 2.0, 0.0)
+    # seed and sample count go through the integer rule, refused by name, not truncated
+    cases = [
+        (lambda n, seed: measure.weight_moment_mc(0.5, 0, 2.0, n, seed=seed), 1000),
+        (lambda n, seed: measure.holder_moment_probe(0.5, 3, 2.0, 0.05, n, seed=seed), 10**4),
+    ]
+    for probe, n in cases:
+        for seed, message in ((1.5, "an integer, got 1.5"), (2.9, "an integer, got 2.9"),
+                              (True, "an integer, got True"), (-1, "non-negative, got -1")):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be {message}')}$"):
+                probe(n, seed)
+        message = f"n_samples must be an integer, got {n + 0.7!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            probe(n + 0.7, 1)
+        with pytest.raises(ValueError, match="^n_samples must be at least 1, got 0$"):
+            probe(0, 1)
 
 
 def test_density_csv_export(tmp_path):
-    density = _density(0.4)
-    path = tmp_path / "density.csv"
-    measure.write_density_csv(density, path)
-    lines = path.read_text().splitlines()
+    density = _density(0.4)  # simulate draws the same levels 0..6 of replica 0
+    cli.main(["simulate", "--gamma", "0.4", "--m", "6", "--grid", "256", "--seed", "21",
+              "--out", str(tmp_path)])
+    lines = (tmp_path / "density.csv").read_text().splitlines()
     assert lines[0] == "i,t,value"
     assert len(lines) == 257
     i, t, v = lines[5].split(",")

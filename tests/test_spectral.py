@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmchaos import estimators, geometry, measure, sampler, spectral
+from gmchaos import cli, estimators, geometry, measure, sampler, spectral
 
 COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -60,17 +60,14 @@ def test_fourier_coefficients_are_the_scaled_fft_bitwise(fields):
 @pytest.mark.parametrize(
     "stage",
     [
-        lambda values, path: spectral.fourier_coefficients(values, 8),
-        lambda values, path: measure.dyadic_masses(values, 2),
-        lambda values, path: measure.write_density_csv(values, path),
+        lambda values: spectral.fourier_coefficients(values, 8),
+        lambda values: measure.dyadic_masses(values, 2),
     ],
-    ids=["fourier_coefficients", "dyadic_masses", "write_density_csv"],
+    ids=["fourier_coefficients", "dyadic_masses"],
 )
-def test_array_stages_refuse_a_grid_that_is_not_a_power_of_two(tmp_path, stage):
-    path = tmp_path / "density.csv"
+def test_array_stages_refuse_a_grid_that_is_not_a_power_of_two(stage):
     with pytest.raises(ValueError, match="grid size must be a power of two >= 2, got 100"):
-        stage(np.ones(100), path)
-    assert not path.exists()
+        stage(np.ones(100))
 
 
 def test_second_moment_is_the_pair_sum():
@@ -340,11 +337,15 @@ def test_conditional_centering_of_localized_vector():
             assert abs(part.mean()) <= 3 * se
 
 
-def test_spectrum_csv_export(tmp_path, fields):
-    spec = spectral.fourier_coefficients(_stream(fields, 0.5)[0][6], 16)
-    path = tmp_path / "spectrum.csv"
-    spectral.write_spectrum_csv(spec, path)
-    lines = path.read_text().splitlines()
+def test_spectrum_csv_export(tmp_path):
+    # simulate on a 128-point grid writes the 16 coefficients of this density
+    grid = sampler.GridSpec(128)
+    for _, _, _, density in measure.densities(0.5, sampler.block_fields(range(7), grid, seed=17)):
+        pass
+    spec = spectral.fourier_coefficients(density, 16)
+    cli.main(["simulate", "--gamma", "0.5", "--m", "6", "--grid", "128", "--seed", "17",
+              "--out", str(tmp_path)])
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "n,re,im,abs2,weighted_abs"
     assert len(lines) == 17
     n, re, im, abs2, weighted = lines[1].split(",")
