@@ -13,7 +13,6 @@ from .estimators import (
     NoFeasibleExponentsError,
     SlopeFit,
     clt_exponent,
-    clt_rescale_profile,
     correlation_dimension,
     decay_exponent_bound,
     decay_slope,

@@ -263,15 +263,6 @@ def rescaled_variance_profile(
     return [(n[a].start, n[a].stop, float(np.mean(rescaled[columns[a]]))) for a in blocks]
 
 
-def clt_rescale_profile(
-    coefficients, gamma: float, block_lo_exp: int, block_hi_exp: int
-) -> list[tuple[int, int, float]]:
-    """rescaled_variance_profile of coefficient rows, one per replica."""
-    data = np.atleast_2d(np.asarray(coefficients))
-    var = np.mean(np.abs(data - data.mean(axis=0)) ** 2, axis=0)
-    return rescaled_variance_profile(var, data.shape[0], gamma, block_lo_exp, block_hi_exp)
-
-
 def norm_powers(coefficients, tau: float, p: float, q: float):
     """p-th power of the l^q norm of n^(tau/2) mu_hat(n), n = 1.., along the
     last axis.  The root and the power are taken on the shape given, so a

@@ -95,6 +95,7 @@ def l2_sums(density: np.ndarray, levels) -> np.ndarray:
 
 def frostman_scan(density: np.ndarray, alpha: float, levels) -> np.ndarray:
     """Per-level sup over dyadic intervals of mass(I) / |I|^alpha."""
+    alpha = geometry._number(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     out = np.empty(len(levels))
@@ -104,11 +105,26 @@ def frostman_scan(density: np.ndarray, alpha: float, levels) -> np.ndarray:
     return out
 
 
+def _moment_order(p: float) -> float:
+    """The moment order p of the weight and regularity moments, a positive number."""
+    p = geometry._number(p, "moment order")
+    if p <= 0:
+        raise ValueError(f"moment order must be positive, got {p!r}")
+    return p
+
+
+def _lag(j: int, h: float) -> float:
+    """The lag h of the regularity ratio at level j, a number in (0, 2^-j]."""
+    j, h = geometry._check_level(j), geometry._number(h, "lag")
+    if not 0.0 < h <= 2.0 ** (-j):
+        raise ValueError(f"lag must lie in (0, 2^-{j}], got {h!r}")
+    return h
+
+
 def weight_moment(gamma: float, j: int, p: float) -> float:
     """Closed-form p-th moment of a level weight: exp(p(p-1) gamma^2/2 * var)."""
     validate_gamma(gamma)
-    if p <= 0:
-        raise ValueError("moment order must be positive")
+    p = _moment_order(p)
     return math.exp(0.5 * p * (p - 1) * gamma**2 * geometry.level_variance(j))
 
 
@@ -120,6 +136,7 @@ def weight_moment_mc(
     Draws the level field at a single point from its exact normal law.
     """
     validate_gamma(gamma)
+    p = _moment_order(p)
     n_samples, seed = geometry._integer(n_samples, "n_samples", 1), geometry._integer(seed, "seed", 0)
     var = geometry.level_variance(j)
     gen = rng.probe_stream(seed, _MOMENT_PROBE, j)
@@ -149,8 +166,7 @@ def holder_moment_probe(
     is involved.  Requires 0 < h <= 2^-j and at least 10^4 samples.
     """
     validate_gamma(gamma)
-    if not 0.0 < h <= 2.0 ** (-j):
-        raise ValueError(f"lag must lie in (0, 2^-{j}]")
+    p, h = _moment_order(p), _lag(j, h)
     n_samples, seed = geometry._integer(n_samples, "n_samples", 1), geometry._integer(seed, "seed", 0)
     if n_samples < 10**4:
         raise ValueError("regularity probes need at least 10^4 samples")
@@ -163,8 +179,7 @@ def holder_moment_probe(
 def holder_moment_quadrature(gamma: float, j: int, p: float, h: float, order: int = 80) -> float:
     """Gauss-Hermite evaluation of the regularity ratio (quadrature oracle)."""
     validate_gamma(gamma)
-    if not 0.0 < h <= 2.0 ** (-j):
-        raise ValueError(f"lag must lie in (0, 2^-{j}]")
+    p, h = _moment_order(p), _lag(j, h)
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     std_pair = SQRT2 * np.stack(np.meshgrid(nodes, nodes, indexing="ij")).reshape(2, -1)
     w2 = np.outer(weights, weights).ravel() / math.pi

@@ -82,17 +82,20 @@ def covariance_sequence(j: int, grid: GridSpec, period: int | None = None) -> np
     points (default 2G, which holds any level's support).
 
     Entry r is the closed-form covariance at circular lag
-    min(r, period - r)/G.  A period that would fold the support onto the
-    grid's lags is refused.
+    min(r, period - r)/G.  It is evaluated only on the lags r/G, r = 0..
+    min(period/2, ceil(sG)), inside the support s; the lags beyond are exact
+    zeros and the second half of the circle mirrors the first.  A period that
+    would fold the support onto the grid's lags is refused.
     """
     g = grid.size
     period = 2 * g if period is None else int(period)
     support = geometry.level_support(j)
     if period % 2 or period < g * (1 + support) - 1 or period < 2 * support * g:
         raise ValueError(f"period {period} is odd or folds the level-{j} support onto the grid of {g}")
-    r = np.arange(period)
-    lags = np.minimum(r, period - r) / g
-    return geometry.level_covariance(j, lags)
+    half = np.zeros(period // 2 + 1)
+    inside = min(period // 2, math.ceil(support * g)) + 1
+    half[:inside] = geometry.level_covariance(j, np.arange(inside) / g)
+    return np.concatenate([half, half[-2:0:-1]])
 
 
 def embedding_spectrum(seq: np.ndarray) -> np.ndarray:

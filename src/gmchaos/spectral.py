@@ -119,7 +119,9 @@ class DyadicInterval:
     index: int
 
     def __post_init__(self) -> None:
-        if self.level < 0 or not 1 <= self.index <= 2**self.level:
+        object.__setattr__(self, "level", geometry._integer(self.level, "dyadic level", 0))
+        object.__setattr__(self, "index", geometry._integer(self.index, "dyadic index", 1))
+        if self.index > 2**self.level:
             raise ValueError(f"invalid dyadic interval (level={self.level}, index={self.index})")
 
     @property
@@ -145,8 +147,7 @@ def dyadic_family(level: int, parity: str = "all") -> list[DyadicInterval]:
     """Dyadic intervals of one generation in left-to-right order."""
     if parity not in ("all", "odd", "even"):
         raise ValueError(f"parity must be all, odd or even, got {parity!r}")
-    if level < 0:
-        raise ValueError("level must be non-negative")
+    level = geometry._integer(level, "dyadic level", 0)
     first = 2 if parity == "even" else 1
     step = 1 if parity == "all" else 2
     return [DyadicInterval(level, h) for h in range(first, 2**level + 1, step)]

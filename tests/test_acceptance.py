@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 The statistical criteria run fixed-seed ensembles at desk scale; the
-exact-identity criteria run at machine precision.  Shared ensembles are
-computed once per session.
+exact-identity criteria run at machine precision.  Criteria 1-7 draw their
+levels one at a time; the ensemble criteria 8-13 sample through the
+library's own paths (the norm-depth blocks of run_replica, run_replica
+itself and the clt aggregate).  Shared ensembles are computed once per
+session.
 """
 
 import math
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 import gmchaos as gc
-from gmchaos import spectral
+from gmchaos import harness, spectral
 
 N_MAX = 2**12
 REPS = 200
@@ -43,11 +46,6 @@ def _replicas(replica):
         return list(pool.map(replica, range(REPS)))
 
 
-def _levels(seed, r):
-    """Levels 0..DEPTH of replica r on GRID_SLOPE, drawn one at a time."""
-    return gc.block_fields(range(DEPTH + 1), GRID_SLOPE, seed, r)
-
-
 @pytest.fixture(scope="module")
 def gamma05_ensemble():
     norm_depths = (6, 8, 10, 12)
@@ -56,12 +54,13 @@ def gamma05_ensemble():
 
     def replica(r):
         parts = []
-        for depth, _, _, density in gc.densities(0.5, _levels(SEED_GAMMA05, r)):
+        fields = gc.block_fields((*norm_depths, DEPTH), GRID_SLOPE, SEED_GAMMA05, r)
+        for depth, _, _, density in gc.densities(0.5, fields):
             if depth in norm_depths:
                 parts.append(gc.fourier_coefficients(density, N_MAX))
         return (
             np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2,
-            [float(np.sum(gc.dyadic_masses(density, lv) ** 2)) for lv in s_levels],
+            gc.l2_sums(density, s_levels),
             gc.frostman_scan(density, 0.3, frost_levels) if r < 50 else None,
             parts,
         )
@@ -89,12 +88,10 @@ def gamma05_ensemble():
 
 @pytest.fixture(scope="module")
 def gamma10_abs2():
-    def replica(r):
-        for _, _, _, density in gc.densities(1.0, _levels(SEED_GAMMA10, r)):
-            pass
-        return np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2
-
-    return np.stack(_replicas(replica))
+    config = gc.ExperimentConfig(
+        gamma=1.0, depth=DEPTH, grid_size=GRID_SLOPE.size, n_max=N_MAX, seed=SEED_GAMMA10
+    )
+    return np.stack(_replicas(lambda r: np.abs(gc.run_replica(config, r).coefficients) ** 2))
 
 
 def test_criterion_01_geometry_exactness():
@@ -131,14 +128,14 @@ def test_criterion_02_sampler_fidelity():
     cross_pairs = [(0, 3), (1, 2), (2, 4), (3, 6), (0, 6)]
     cross = np.zeros(len(cross_pairs))
     cross_sq = np.zeros(len(cross_pairs))
+    at_point = np.empty(len(levels))
     for r in range(reps):
-        rows = [field.copy() for _, _, field in gc.block_fields(levels, grid, SEED_FIDELITY, r)]
-        for j in levels:
-            row = rows[j]
-            for i, lag in enumerate(lag_sets[j]):
-                cov_sums[j][i] += float(row[:-lag] @ row[lag:]) / (256 - lag)
+        for j, _, row in gc.block_fields(levels, grid, SEED_FIDELITY, r):
+            lags = lag_sets[j]
+            cov_sums[j] += np.array([row[:-lag] @ row[lag:] for lag in lags]) / (256 - lags)
+            at_point[j] = row[point]
         for i, (a, b) in enumerate(cross_pairs):
-            prod = rows[a][point] * rows[b][point]
+            prod = at_point[a] * at_point[b]
             cross[i] += prod
             cross_sq[i] += prod * prod
     worst_cov = 0.0
@@ -311,13 +308,10 @@ def test_criterion_10_correlation_dimension(gamma05_ensemble):
 
 
 def test_criterion_11_clt_rescaling():
-    grid = gc.GridSpec(2**13)
-    coeffs = np.empty((REPS, 2**10), dtype=complex)
-    for r in range(REPS):
-        for _, _, _, density in gc.densities(0.4, gc.block_fields(range(13), grid, SEED_GAMMA04, r)):
-            pass
-        coeffs[r] = gc.fourier_coefficients(density, 2**10)
-    profile = gc.clt_rescale_profile(coeffs, 0.4, 6, 10)
+    config = gc.ExperimentConfig(
+        gamma=0.4, depth=12, grid_size=2**13, n_max=2**10, replicas=REPS, seed=SEED_GAMMA04
+    )
+    profile = harness.clt_profile_from_result(gc.run_ensemble(config, workers=2), 6, 10)
     values = np.array([v for _, _, v in profile])
     spread = float(values.max() / values.min())
     ok = spread <= 2.0

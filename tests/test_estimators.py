@@ -191,15 +191,15 @@ def test_clt_exponent_value():
 
 
 def test_clt_profile_regime_and_shape():
-    coeffs = np.zeros((120, 256), dtype=complex)
-    profile = estimators.clt_rescale_profile(coeffs, 0.0, 4, 8)
+    var = np.zeros(256)
+    profile = estimators.rescaled_variance_profile(var, 120, 0.0, 4, 8)
     assert [row[2] for row in profile] == [0.0, 0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
-        estimators.clt_rescale_profile(coeffs, 0.8, 4, 8)
+        estimators.rescaled_variance_profile(var, 120, 0.8, 4, 8)
     with pytest.raises(ValueError):
-        estimators.clt_rescale_profile(coeffs[:50], 0.4, 4, 8)
+        estimators.rescaled_variance_profile(var, 50, 0.4, 4, 8)
     with pytest.raises(ValueError):
-        estimators.clt_rescale_profile(coeffs, 0.4, 4, 12)
+        estimators.rescaled_variance_profile(var, 120, 0.4, 4, 12)
 
 
 def test_clt_profile_flat_for_matching_decay():
@@ -209,7 +209,7 @@ def test_clt_profile_flat_for_matching_decay():
     n = np.arange(1, 1025)
     sigma = n ** (-(1 - 0.4**2) / 2)
     coeffs = sigma * (gen.standard_normal((150, 1024)) + 1j * gen.standard_normal((150, 1024)))
-    profile = estimators.clt_rescale_profile(coeffs, 0.4, 5, 10)
+    profile = estimators.rescaled_variance_profile(np.var(coeffs, axis=0), 150, 0.4, 5, 10)
     values = np.array([row[2] for row in profile])
     assert values.max() / values.min() < 1.3
 

@@ -244,6 +244,32 @@ def test_holder_probe_validation():
             probe(0, 1)
 
 
+def test_probe_numbers_go_through_the_number_rule(monkeypatch):
+    # alpha, the lag and the moment order are refused by name, before any draw
+    def no_draw(*args):
+        raise AssertionError("a stream was built for a refused number")
+
+    monkeypatch.setattr(measure.rng, "probe_stream", no_draw)
+    density = _density(0.0)
+    for name, call in [
+        ("alpha", lambda x: measure.frostman_scan(density, x, [1])),
+        ("lag", lambda x: measure.holder_moment_probe(0.5, 3, 2.0, x, 10**4)),
+        ("moment order", lambda x: measure.holder_moment_probe(0.5, 3, x, 0.05, 10**4)),
+        ("lag", lambda x: measure.holder_moment_quadrature(0.5, 3, 2.0, x)),
+        ("moment order", lambda x: measure.holder_moment_quadrature(0.5, 3, x, 0.05)),
+        ("moment order", lambda x: measure.weight_moment(0.5, 0, x)),
+        ("moment order", lambda x: measure.weight_moment_mc(0.5, 0, x, 1000)),
+    ]:
+        for bad in (True, "0.1"):
+            message = f"{name} must be a number, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(bad)
+    with pytest.raises(ValueError, match=r"^moment order must be positive, got 0.0$"):
+        measure.weight_moment_mc(0.5, 0, 0.0, 1000)
+    # a numpy real is a number
+    assert measure.frostman_scan(density, np.float64(1.0), [1]) == pytest.approx([1.0])
+
+
 def test_density_csv_export(tmp_path):
     density = _density(0.4)  # simulate draws the same levels 0..6 of replica 0
     cli.main(["simulate", "--gamma", "0.4", "--m", "6", "--grid", "256", "--seed", "21",

@@ -46,6 +46,17 @@ def test_covariance_sequence_entries():
     assert np.array_equal(seq2[1:], seq2[1:][::-1])
 
 
+@given(st.integers(1, 16), st.integers(0, 24), st.booleans())
+def test_covariance_sequence_is_the_full_circle_bit_for_bit(log2_size, j, widest):
+    # evaluated inside the support and mirrored, the sequence is the
+    # closed form at every circular lag, float for float
+    grid = sampler.GridSpec(2**log2_size)
+    period = 2 * grid.size if widest else sampler.embedding_period(j, grid)
+    r = np.arange(period)
+    full = geometry.level_covariance(j, np.minimum(r, period - r) / grid.size)
+    assert sampler.covariance_sequence(j, grid, period).tobytes() == full.tobytes()
+
+
 def test_embedding_spectrum_constant_sequence():
     eig = sampler.embedding_spectrum(np.full(16, 0.7))
     assert eig[0] == pytest.approx(16 * 0.7, rel=1e-12)

@@ -121,6 +121,23 @@ def test_dyadic_interval_grid_alignment():
         spectral.DyadicInterval(9, 1).grid_slice(sampler.GridSpec(64))
 
 
+def test_dyadic_level_and_index_go_through_the_integer_rule():
+    for bad in (True, 2.5, "2"):
+        for name, build in (("level", lambda x: spectral.DyadicInterval(x, 1)),
+                            ("level", spectral.dyadic_family),
+                            ("index", lambda x: spectral.DyadicInterval(2, x))):
+            message = f"dyadic {name} must be an integer, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(bad)
+    with pytest.raises(ValueError, match=r"^dyadic level must be non-negative, got -1$"):
+        spectral.dyadic_family(-1)
+    with pytest.raises(ValueError, match=r"^dyadic index must be at least 1, got 0$"):
+        spectral.DyadicInterval(2, 0)
+    interval = spectral.DyadicInterval(np.int64(2), np.int64(3))
+    assert (type(interval.level), type(interval.index)) == (int, int)
+    assert interval == spectral.DyadicInterval(2, 3)
+
+
 def test_localized_vector_degenerate(fields):
     vec = spectral.localized_vector(_stream(fields, 0.0)[1][3], spectral.DyadicInterval(2, 1), 0.5, 32)
     assert np.array_equal(vec, np.zeros(32, dtype=complex))
