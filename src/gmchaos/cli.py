@@ -50,28 +50,25 @@ def _config_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
 # verify
 
 
-def _check_geometry_oracle() -> str:
-    lags = np.linspace(0.0, 1.1, 12)
+def oracle_defect(levels: int, lags: int) -> float:
+    """max |closed form - quadrature| of levels 0..levels - 1 at `lags` lags in [0, 1.1]."""
     worst = 0.0
-    for j in range(5):
-        for h in lags:
+    for j in range(levels):
+        for h in np.linspace(0.0, 1.1, lags):
             closed = geometry.level_covariance(j, float(h))
             quad = float(geometry.overlap_quadrature(j, float(h), 2000))
             worst = max(worst, abs(closed - quad))
-    if worst > 1e-3:
-        raise AssertionError(f"closed form vs quadrature deviation {worst:.2e} > 1e-3")
-    return f"max |closed - quadrature| = {worst:.2e}"
+    return worst
 
 
-def _check_telescoping() -> str:
-    lags = np.linspace(0.0, 1.2, 301)
+def telescoping_defect(depths: int, lags: int) -> float:
+    """max |sum of level covariances - cumulative| over depths 0..depths - 1, `lags` lags in [0, 1.2]."""
+    grid = np.linspace(0.0, 1.2, lags)
     worst = 0.0
-    for m in range(11):
-        total = sum(geometry.level_covariance(j, lags) for j in range(m + 1))
-        worst = max(worst, float(np.max(np.abs(total - geometry.cumulative_covariance(m, lags)))))
-    if worst > 1e-12:
-        raise AssertionError(f"level sums deviate from cumulative covariance by {worst:.2e}")
-    return f"max telescoping defect = {worst:.2e}"
+    for m in range(depths):
+        total = sum(geometry.level_covariance(j, grid) for j in range(m + 1))
+        worst = max(worst, float(np.max(np.abs(total - geometry.cumulative_covariance(m, grid)))))
+    return worst
 
 
 def _check_branch_continuity() -> str:
@@ -101,89 +98,97 @@ def _check_embedding() -> str:
     return f"max implied-covariance defect = {worst:.2e} at the sampler's periods"
 
 
-def _check_product_identity(seed: int) -> str:
-    gen = np.random.default_rng(seed)
+def product_defect(gen: np.random.Generator, size_bound: int) -> float:
+    """max |expansion - (prod(a) - prod(b))| over 100 drawn pairs of 1..size_bound - 1 factors."""
     worst = 0.0
     for _ in range(100):
-        size = int(gen.integers(1, 9))
+        size = int(gen.integers(1, size_bound))
         a = gen.standard_normal(size) + 1j * gen.standard_normal(size)
         b = gen.standard_normal(size) + 1j * gen.standard_normal(size)
-        direct = np.prod(a) - np.prod(b)
-        worst = max(worst, abs(spectral.product_difference_expansion(a, b) - direct))
-    if worst > 1e-12:
-        raise AssertionError(f"product expansion defect {worst:.2e}")
-    return f"max expansion defect = {worst:.2e}"
+        worst = max(worst, abs(spectral.product_difference_expansion(a, b) - (np.prod(a) - np.prod(b))))
+    return worst
 
 
-def _check_abel(seed: int) -> str:
-    gen = np.random.default_rng(seed)
+def abel_defect(gen: np.random.Generator, n_bound: int) -> float:
+    """max |direct - Abel-regrouped transform| over 100 drawn segments and n in 1..n_bound - 1."""
     worst = 0.0
     for _ in range(100):
         level = int(gen.integers(0, 7))
-        k = int(gen.integers(0, 4))
-        family = spectral.dyadic_family(k)
+        family = spectral.dyadic_family(int(gen.integers(0, 4)))
         interval = family[int(gen.integers(0, len(family)))]
         values = gen.standard_normal(2**level + 1) + 1j * gen.standard_normal(2**level + 1)
-        n = int(gen.integers(1, 512))
+        n = int(gen.integers(1, n_bound))
         direct, abel = spectral.abel_segment_transform(values, interval, n)
         worst = max(worst, abs(direct - abel))
-    if worst > 1e-12:
-        raise AssertionError(f"Abel regrouping defect {worst:.2e}")
-    return f"max regrouping defect = {worst:.2e}"
+    return worst
 
 
-def _check_moments(seed: int) -> str:
+def moment_deviation(cells) -> float:
+    """Worst |Monte Carlo - exact weight moment| in s.e. over (gamma, level, order, seed) cells."""
     worst_z = 0.0
-    for j in (0, 1):
-        for p in (1.5, 2.0):
-            mean, stderr = measure.weight_moment_mc(0.7, j, p, 10**5, seed=seed + j)
-            z = abs(mean - measure.weight_moment(0.7, j, p)) / stderr
-            worst_z = max(worst_z, z)
-    if worst_z > 3.0:
-        raise AssertionError(f"weight moment off by {worst_z:.2f} standard errors")
-    return f"worst moment deviation = {worst_z:.2f} s.e."
+    for gamma, j, p, seed in cells:
+        mean, stderr = measure.weight_moment_mc(gamma, j, p, 10**5, seed=seed)
+        worst_z = max(worst_z, abs(mean - measure.weight_moment(gamma, j, p)) / stderr)
+    return worst_z
 
 
-def _check_decomposition(seed: int) -> str:
-    gamma, tau, n_max = 0.6, 0.4, 64
+def increment_defect(gamma: float, tau: float, n_max: int, depth: int, seed: int, replicas: int) -> float:
+    """max |level k's localised vectors, summed left to right, - the weighted coefficient
+    increment from depth k - 1 to k| over k = 1..depth, replicas 0..replicas - 1, grid 1024."""
     weights = spectral.decay_weights(n_max, tau)
     worst = 0.0
-    for k, variance, field, density in measure.densities(gamma, block_fields(range(7), GridSpec(1024), seed)):
-        weighted = weights * spectral.fourier_coefficients(density, n_max)
-        if k:
-            profile = spectral.centered_profile(prev, gamma, field, variance)
-            total = np.zeros(n_max, dtype=complex)
-            for interval in spectral.dyadic_family(k - 1):
-                total += spectral.localized_vector(profile, interval, tau, n_max)
-            worst = max(worst, float(np.max(np.abs(total - (weighted - low)))))
-        prev, low = density.copy(), weighted
-    if worst > 1e-10:
-        raise AssertionError(f"increment decomposition defect {worst:.2e}")
-    return f"max increment defect = {worst:.2e}"
+    for replica in range(replicas):
+        fields = block_fields(range(depth + 1), GridSpec(1024), seed, replica)
+        for k, variance, field, density in measure.densities(gamma, fields):
+            weighted = weights * spectral.fourier_coefficients(density, n_max)
+            if k:
+                profile = spectral.centered_profile(prev, gamma, field, variance)
+                total = np.zeros(n_max, dtype=complex)
+                for interval in spectral.dyadic_family(k - 1):
+                    total += spectral.localized_vector(profile, interval, tau, n_max)
+                worst = max(worst, float(np.max(np.abs(total - (weighted - low)))))
+            prev, low = density.copy(), weighted
+    return worst
 
 
-def _check_exponents() -> str:
+def exponent_defect(gammas) -> float:
+    """max |sup over a p grid in (1, 2] of 2 + gamma^2 (1 - p) - 2/p - Fourier dimension|."""
     worst = 0.0
     p_grid = np.arange(1.0 + 1e-5, 2.0 + 1e-12, 1e-5)
-    for gamma in np.linspace(0.05, 1.35, 10):
+    for gamma in gammas:
         values = 2.0 + gamma**2 - gamma**2 * p_grid - 2.0 / p_grid
         worst = max(worst, abs(float(values.max()) - estimators.fourier_dimension(gamma)))
-    if worst > 1e-8:
-        raise AssertionError(f"dimension vs grid search defect {worst:.2e}")
-    return f"max sup-search defect = {worst:.2e}"
+    return worst
+
+
+def _within(defect: float, tolerance: float, detail: str) -> str:
+    """The detail, formatted with the defect, once the defect is within the tolerance."""
+    detail = detail.format(defect)
+    if defect > tolerance:
+        raise AssertionError(f"{detail} exceeds {tolerance:g}")
+    return detail
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    seed = geometry._integer(args.seed, "seed", 0)
+    moment_cells = [(0.7, j, p, seed + j) for j in (0, 1) for p in (1.5, 2.0)]
     checks = [
-        ("geometry_oracle_agreement", _check_geometry_oracle),
-        ("geometry_telescoping", _check_telescoping),
+        ("geometry_oracle_agreement",
+         lambda: _within(oracle_defect(5, 12), 1e-3, "max |closed - quadrature| = {:.2e}")),
+        ("geometry_telescoping",
+         lambda: _within(telescoping_defect(11, 301), 1e-12, "max telescoping defect = {:.2e}")),
         ("geometry_branch_continuity", _check_branch_continuity),
         ("embedding_exactness", _check_embedding),
-        ("product_difference_identity", lambda: _check_product_identity(args.seed)),
-        ("abel_regrouping_identity", lambda: _check_abel(args.seed)),
-        ("weight_moments", lambda: _check_moments(args.seed)),
-        ("increment_decomposition", lambda: _check_decomposition(args.seed)),
-        ("exponent_formulas", _check_exponents),
+        ("product_difference_identity",
+         lambda: _within(product_defect(np.random.default_rng(seed), 9), 1e-12, "max expansion defect = {:.2e}")),
+        ("abel_regrouping_identity",
+         lambda: _within(abel_defect(np.random.default_rng(seed), 512), 1e-12, "max regrouping defect = {:.2e}")),
+        ("weight_moments",
+         lambda: _within(moment_deviation(moment_cells), 3.0, "worst moment deviation = {:.2f} s.e.")),
+        ("increment_decomposition",
+         lambda: _within(increment_defect(0.6, 0.4, 64, 6, seed, 1), 1e-10, "max increment defect = {:.2e}")),
+        ("exponent_formulas",
+         lambda: _within(exponent_defect(np.linspace(0.05, 1.35, 10)), 1e-8, "max sup-search defect = {:.2e}")),
     ]
     failures = 0
     for name, check in checks:

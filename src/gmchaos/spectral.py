@@ -132,10 +132,6 @@ class DyadicInterval:
     def right(self) -> float:
         return self.index / 2**self.level
 
-    @property
-    def parity(self) -> str:
-        return "odd" if self.index % 2 else "even"
-
     def grid_slice(self, grid: GridSpec) -> tuple[int, int]:
         if self.level > grid.log2_size:
             raise ValueError(f"dyadic level {self.level} finer than grid of size {grid.size}")
@@ -143,14 +139,10 @@ class DyadicInterval:
         return (self.index - 1) * step, self.index * step
 
 
-def dyadic_family(level: int, parity: str = "all") -> list[DyadicInterval]:
+def dyadic_family(level: int) -> list[DyadicInterval]:
     """Dyadic intervals of one generation in left-to-right order."""
-    if parity not in ("all", "odd", "even"):
-        raise ValueError(f"parity must be all, odd or even, got {parity!r}")
     level = geometry._integer(level, "dyadic level", 0)
-    first = 2 if parity == "even" else 1
-    step = 1 if parity == "all" else 2
-    return [DyadicInterval(level, h) for h in range(first, 2**level + 1, step)]
+    return [DyadicInterval(level, h) for h in range(1, 2**level + 1)]
 
 
 def centered_profile(prev: np.ndarray, gamma: float, field: np.ndarray, variance: float) -> np.ndarray:

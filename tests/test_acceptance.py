@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 The statistical criteria run fixed-seed ensembles at desk scale; the
-exact-identity criteria run at machine precision.  Criteria 1-7 draw their
-levels one at a time; the ensemble criteria 8-13 sample through the
-library's own paths (the norm-depth blocks of run_replica, run_replica
-itself and the clt aggregate).  Shared ensembles are computed once per
-session.
+exact-identity criteria run at machine precision.  Criteria 1, 3, 5 and 7
+call the identity checks of `gmchaos verify` (gmchaos.cli) at their own
+scale.  Criteria 2, 5 and 6 draw their levels one at a time; the ensemble
+criteria 8-13 sample through the library's own paths (the norm-depth blocks
+of run_replica, run_replica itself and the clt aggregate).  Shared ensembles
+are computed once per session.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import gmchaos as gc
-from gmchaos import harness, spectral
+from gmchaos import cli, harness
 
 N_MAX = 2**12
 REPS = 200
@@ -95,18 +96,8 @@ def gamma10_abs2():
 
 
 def test_criterion_01_geometry_exactness():
-    lags = np.linspace(0.0, 1.1, 50)
-    worst_oracle = 0.0
-    for j in range(7):
-        for h in lags:
-            closed = gc.level_covariance(j, float(h))
-            quad = float(gc.overlap_quadrature(j, float(h), 2000))
-            worst_oracle = max(worst_oracle, abs(closed - quad))
-    grid = np.linspace(0.0, 1.2, 1000)
-    worst_tel = 0.0
-    for m in range(13):
-        total = sum(gc.level_covariance(j, grid) for j in range(m + 1))
-        worst_tel = max(worst_tel, float(np.max(np.abs(total - gc.cumulative_covariance(m, grid)))))
+    worst_oracle = cli.oracle_defect(7, 50)
+    worst_tel = cli.telescoping_defect(13, 1000)
     ok = worst_oracle <= 1e-3 and worst_tel <= 1e-12
     assert report(
         1, ok, f"oracle defect {worst_oracle:.2e} (tol 1e-3), telescoping {worst_tel:.2e} (tol 1e-12)"
@@ -153,13 +144,9 @@ def test_criterion_02_sampler_fidelity():
 
 
 def test_criterion_03_exact_weight_moments():
-    worst_z = 0.0
-    for gi, gamma in enumerate((0.3, 0.7, 1.0)):
-        for j in (0, 1, 4):
-            for p in (1.2, 1.5, 2.0):
-                mean, se = gc.weight_moment_mc(gamma, j, p, 10**5, seed=900 + 9 * gi + j)
-                z = abs(mean - gc.weight_moment(gamma, j, p)) / se
-                worst_z = max(worst_z, z)
+    cells = [(gamma, j, p, 900 + 9 * gi + j)
+             for gi, gamma in enumerate((0.3, 0.7, 1.0)) for j in (0, 1, 4) for p in (1.2, 1.5, 2.0)]
+    worst_z = cli.moment_deviation(cells)
     ok = worst_z <= 3.0
     assert report(3, ok, f"worst deviation {worst_z:.2f} s.e. over 27 cells (tol 3)")
 
@@ -186,43 +173,10 @@ def test_criterion_04_holder_moment_boundedness():
 
 
 def test_criterion_05_decomposition_identities():
-    grid = gc.GridSpec(1024)
-    gamma, tau, n_max = 0.5, 0.4, 128
-    weights = spectral.decay_weights(n_max, tau)
-    worst_tel = 0.0
-    for rep in range(10):
-        fields = gc.block_fields(range(9), grid, seed=3000, replica=rep)
-        for k, variance, field, density in gc.densities(gamma, fields):
-            high = weights * gc.fourier_coefficients(density, n_max)
-            if k:
-                profile = gc.centered_profile(prev, gamma, field, variance)
-                total = np.zeros(n_max, dtype=complex)
-                for parity in ("odd", "even"):
-                    for interval in gc.dyadic_family(k - 1, parity):
-                        total += gc.localized_vector(profile, interval, tau, n_max)
-                worst_tel = max(worst_tel, float(np.max(np.abs(total - (high - low)))))
-            prev, low = density.copy(), high
-
+    worst_tel = cli.increment_defect(0.5, 0.4, 128, 8, 3000, 10)
     gen = np.random.default_rng(77)
-    worst_abel = 0.0
-    for _ in range(100):
-        level = int(gen.integers(0, 7))
-        family = gc.dyadic_family(int(gen.integers(0, 4)))
-        interval = family[int(gen.integers(0, len(family)))]
-        values = gen.standard_normal(2**level + 1) + 1j * gen.standard_normal(2**level + 1)
-        n = int(gen.integers(1, 600))
-        direct, abel = gc.abel_segment_transform(values, interval, n)
-        worst_abel = max(worst_abel, abs(direct - abel))
-
-    worst_prod = 0.0
-    for _ in range(100):
-        size = int(gen.integers(1, 10))
-        a = gen.standard_normal(size) + 1j * gen.standard_normal(size)
-        b = gen.standard_normal(size) + 1j * gen.standard_normal(size)
-        worst_prod = max(
-            worst_prod,
-            abs(gc.product_difference_expansion(a, b) - (np.prod(a) - np.prod(b))),
-        )
+    worst_abel = cli.abel_defect(gen, 600)
+    worst_prod = cli.product_defect(gen, 10)
     ok = worst_tel <= 1e-10 and worst_abel <= 1e-12 and worst_prod <= 1e-12
     assert report(
         5,
@@ -260,11 +214,7 @@ def test_criterion_06_separation_bound():
 
 
 def test_criterion_07_exponent_machinery():
-    p_grid = np.arange(1.0 + 1e-5, 2.0 + 1e-12, 1e-5)
-    worst = 0.0
-    for gamma in np.linspace(0.02, math.sqrt(2) - 0.02, 50):
-        values = 2.0 + gamma**2 - gamma**2 * p_grid - 2.0 / p_grid
-        worst = max(worst, abs(float(values.max()) - gc.fourier_dimension(gamma)))
+    worst = cli.exponent_defect(np.linspace(0.02, math.sqrt(2) - 0.02, 50))
     search_ok = True
     for gamma in (0.3, 0.7, 1.0, 1.3):
         d = gc.fourier_dimension(gamma)

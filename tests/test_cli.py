@@ -14,6 +14,25 @@ def test_verify_passes(capsys):
     assert len(lines) >= 8
 
 
+def test_verify_refuses_a_negative_seed_before_any_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no check ran
+    assert captured.err.splitlines()[-1] == "gmchaos: error: seed must be non-negative, got -1"
+
+
+def test_verify_reports_a_failed_check_and_runs_the_rest(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "increment_defect", lambda *args: 1.0)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert [line for line in lines if not line.startswith("PASS ")] == [
+        "FAIL increment_decomposition: max increment defect = 1.00e+00 exceeds 1e-10"
+    ]
+
+
 def table_lines(path, end):
     """The lines of a table, once every line is checked to end with `end`
     and to hold no other line break."""

@@ -99,22 +99,17 @@ def test_weighted_modulus_invariant(fields):
 
 
 def test_dyadic_family_odd_even():
-    odd = spectral.dyadic_family(2, "odd")
+    odd = spectral.dyadic_family(2)[0::2]
     assert [(i.left, i.right) for i in odd] == [(0.0, 0.25), (0.5, 0.75)]
+    even = spectral.dyadic_family(2)[1::2]
+    assert [(i.left, i.right) for i in even] == [(0.25, 0.5), (0.75, 1.0)]
     all_two = spectral.dyadic_family(1)
     assert [(i.left, i.right) for i in all_two] == [(0.0, 0.5), (0.5, 1.0)]
-    odd2 = spectral.dyadic_family(2, "odd")
-    even2 = spectral.dyadic_family(2, "even")
-    merged = sorted(odd2 + even2, key=lambda i: i.index)
-    assert merged == spectral.dyadic_family(2)
-    with pytest.raises(ValueError):
-        spectral.dyadic_family(2, "prime")
 
 
 def test_dyadic_interval_grid_alignment():
     interval = spectral.DyadicInterval(3, 5)
     assert interval.grid_slice(sampler.GridSpec(64)) == (32, 40)
-    assert interval.parity == "odd"
     with pytest.raises(ValueError):
         spectral.DyadicInterval(2, 5)
     with pytest.raises(ValueError):
@@ -194,8 +189,8 @@ def test_same_parity_intervals_decouple():
     k = 4
     grid = sampler.GridSpec(256)
     t = grid.times()
-    for family in ("odd", "even"):
-        intervals = spectral.dyadic_family(k - 1, family)
+    family = spectral.dyadic_family(k - 1)
+    for intervals in (family[0::2], family[1::2]):
         for a, b in zip(intervals, intervals[1:]):
             sl_a = slice(*a.grid_slice(grid))
             sl_b = slice(*b.grid_slice(grid))
