@@ -173,7 +173,7 @@ def test_criterion_04_holder_moment_boundedness():
 
 
 def test_criterion_05_decomposition_identities():
-    worst_tel = cli.increment_defect(0.5, 0.4, 128, 8, 3000, 10)
+    worst_tel = cli.increment_defect(gamma=0.5, n_max=128, depth=8, seed=3000, replicas=10)
     gen = np.random.default_rng(77)
     worst_abel = cli.abel_defect(gen, 600)
     worst_prod = cli.product_defect(gen, 10)

@@ -1,9 +1,11 @@
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 
-from gmchaos import cli, harness, rng
+from gmchaos import cli, harness, rng, spectral
 
 
 def test_verify_passes(capsys):
@@ -23,14 +25,29 @@ def test_verify_refuses_a_negative_seed_before_any_check(capsys):
     assert captured.err.splitlines()[-1] == "gmchaos: error: seed must be non-negative, got -1"
 
 
-def test_verify_reports_a_failed_check_and_runs_the_rest(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "increment_defect", lambda *args: 1.0)
+@pytest.mark.parametrize("defect, shown", [(1.0, "1.00e+00"), (math.nan, "nan")])
+def test_verify_reports_a_failed_check_and_runs_the_rest(monkeypatch, capsys, defect, shown):
+    monkeypatch.setattr(cli, "increment_defect", lambda **scale: defect)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9
     assert [line for line in lines if not line.startswith("PASS ")] == [
-        "FAIL increment_decomposition: max increment defect = 1.00e+00 exceeds 1e-10"
+        f"FAIL increment_decomposition: max increment defect = {shown} exceeds 1e-10"
     ]
+
+
+def test_identity_checks_keep_a_nan_defect(monkeypatch):
+    """One NaN among finite defects is the check's result, not dropped by the fold."""
+    expansion = spectral.product_difference_expansion
+    calls = []
+
+    def nan_on_first_call(a, b):
+        calls.append(1)
+        return math.nan if len(calls) == 1 else expansion(a, b)
+
+    monkeypatch.setattr(spectral, "product_difference_expansion", nan_on_first_call)
+    assert math.isnan(cli.product_defect(np.random.default_rng(7), 9))
+    assert len(calls) == 100
 
 
 def table_lines(path, end):
