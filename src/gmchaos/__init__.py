@@ -22,10 +22,8 @@ from .estimators import (
     l2_spectrum_slope,
     norm_powers,
     power_law_spectrum,
-    uniform_bound_probe,
 )
 from .geometry import (
-    OverlapQuadrature,
     cumulative_covariance,
     level_covariance,
     level_support,
@@ -45,9 +43,6 @@ from .harness import (
 from .measure import (
     densities,
     dyadic_masses,
-    frostman_scan,
-    holder_moment_probe,
-    holder_moment_quadrature,
     l2_sums,
     weight_moment,
     weight_moment_mc,
@@ -62,7 +57,6 @@ from .sampler import (
 )
 from .spectral import (
     DyadicInterval,
-    SeparationComponents,
     abel_segment_transform,
     centered_profile,
     dyadic_family,
@@ -72,7 +66,6 @@ from .spectral import (
     product_difference_expansion,
     second_moment,
     segment_integral,
-    separation_bound,
 )
 
 __version__ = "0.5.0"

@@ -56,7 +56,7 @@ def oracle_defect(levels: int, lags: int) -> float:
     for j in range(levels):
         for h in np.linspace(0.0, 1.1, lags):
             closed = geometry.level_covariance(j, float(h))
-            quad = float(geometry.overlap_quadrature(j, float(h), 2000))
+            quad = geometry.overlap_quadrature(j, float(h), 2000)
             worst = np.maximum(worst, abs(closed - quad))
     return worst
 

@@ -6,7 +6,7 @@ correlation dimension, computed from the power-law moment spectrum.  The
 statistical side estimates these exponents from simulated ensembles:
 dyadic-block regression of the coefficient decay, L2 sums of dyadic
 interval masses, the variance profile of rescaled coefficients, and the
-uniform-boundedness probe for the weighted coefficient martingale.
+per-replica l^q norm powers of the weighted coefficient martingale.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measure, spectral
+from . import geometry, measure, spectral
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,9 +78,10 @@ def exponent_margin(gamma: float, tau: float, p: float, q: float) -> float:
     """
     g = measure.validate_gamma(gamma)
     spectral._check_tau(tau)
+    p, q = geometry._number(p, "moment order"), geometry._number(q, "q")
     if not 1.0 < p < 2.0:
         raise ValueError(f"moment order must lie in (1, 2), got {p!r}")
-    if q <= 4.0 / (1.0 - tau):
+    if not q > 4.0 / (1.0 - tau):
         raise ValueError(f"q must exceed 4/(1 - tau) = {4.0 / (1.0 - tau):.6g}, got {q!r}")
     return (p - 1.0) * (1.0 - g**2 * p / 2.0) - tau * p / 2.0 - p / q
 
@@ -269,28 +270,3 @@ def norm_powers(coefficients, tau: float, p: float, q: float):
     1-D row gets numpy's scalar power, a 2-D array its array power."""
     coefficients = np.asarray(coefficients)
     return spectral.lq_norm(spectral.decay_weights(coefficients.shape[-1], tau) * coefficients, q) ** p
-
-
-def uniform_bound_probe(
-    gamma: float,
-    tau: float,
-    p: float,
-    q: float,
-    spectra_by_depth: dict[int, np.ndarray],
-) -> tuple[list[int], np.ndarray]:
-    """Empirical mean of the p-th power of the weighted-coefficient l^q norm,
-    per construction depth.
-
-    `spectra_by_depth` maps a depth to the (replicas, n_max) coefficient
-    array of the depth's density.  Rejects (p, q) pairs whose summability
-    margin is not positive.
-    """
-    margin = exponent_margin(gamma, tau, p, q)
-    if margin <= 0.0:
-        raise NoFeasibleExponentsError(
-            f"(p={p}, q={q}) infeasible for gamma={gamma}, tau={tau}: margin = {margin:.6g}"
-        )
-    depths = sorted(spectra_by_depth)
-    means = [np.mean(norm_powers(np.atleast_2d(spectra_by_depth[d]), tau, p, q)) for d in depths]
-    return depths, np.array(means)
-

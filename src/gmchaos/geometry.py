@@ -14,15 +14,16 @@ cross-check of the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 LN2 = math.log(2.0)
 
 # The level-0 strip extends to y = infinity; the quadrature oracle stops at
-# this height.  The neglected tail has hyperbolic area width / Y_CUTOFF,
-# reported in the oracle output.
+# this height.  The neglected tail has hyperbolic area (1 - h) / Y_CUTOFF at
+# lag h, at most 1e-4: over the 50 lags of `gmchaos verify` and acceptance
+# criterion 1 it is 1.00e-04 of level 0's 1.05e-04 oracle defect (the midpoint
+# rule the other 5.3e-06), while levels 1-6 read at most 1.2e-08.
 Y_CUTOFF = 1.0e4
 
 
@@ -48,10 +49,14 @@ def _check_level(j: int) -> int:
 
 
 def _as_lags(h):
-    arr = np.asarray(h, dtype=float)
-    if np.any(arr < 0):
+    """A scalar lag through the number rule, or an integer or float lag array,
+    as floats once none is negative (nor NaN)."""
+    lags = np.asarray(_number(h, "lag") if np.ndim(h) == 0 else h)
+    if lags.dtype.kind not in "iuf":
+        raise ValueError(f"lags must be integers or floats, got dtype {lags.dtype}")
+    if not np.all(lags >= 0):
         raise ValueError("lags must be non-negative; take |t - s| before calling")
-    return arr
+    return lags.astype(float, copy=False)
 
 
 def level_variance(j: int) -> float:
@@ -105,19 +110,6 @@ def cumulative_covariance(m: int, h):
     return float(out) if np.isscalar(h) or np.ndim(h) == 0 else out
 
 
-@dataclass(frozen=True)
-class OverlapQuadrature:
-    """Numeric strip-overlap area plus the quadrature metadata."""
-
-    value: float
-    resolution: int
-    y_cutoff: float
-    tail_bound: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _section(center: float, y: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     # Horizontal section of the level-j strip at heights y: an interval
     # centered at the apex, of width y inside the cone (width 1 at level 0).
@@ -125,20 +117,17 @@ def _section(center: float, y: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarr
     return center - half, center + half
 
 
-def overlap_quadrature(j: int, h: float, resolution: int = 2000) -> OverlapQuadrature:
+def overlap_quadrature(j: int, h: float, resolution: int = 2000) -> float:
     """Midpoint-rule area of the intersection of level-j strips at lag h.
 
     Slabs are geometrically spaced in height; each slab contributes
     (section overlap width) / y^2 * dy, the overlap width coming from
     direct interval intersection of the two cone sections.  Converges to
-    level_covariance as resolution grows; level 0 is truncated at
-    Y_CUTOFF with the neglected tail reported in the result.
+    level_covariance as resolution (at least 100) grows; level 0 is
+    truncated at Y_CUTOFF.
     """
-    j = _check_level(j)
-    if resolution < 100:
-        raise ValueError("resolution must be at least 100")
-    if h < 0:
-        raise ValueError("lags must be non-negative; take |t - s| before calling")
+    j, h = _check_level(j), float(_as_lags(_number(h, "lag")))
+    resolution = _integer(resolution, "resolution", 100)
     if j == 0:
         y_lo, y_hi = 1.0, Y_CUTOFF
     else:
@@ -149,10 +138,4 @@ def overlap_quadrature(j: int, h: float, resolution: int = 2000) -> OverlapQuadr
     lo1, hi1 = _section(0.0, mids, j)
     lo2, hi2 = _section(h, mids, j)
     overlap = np.maximum(0.0, np.minimum(hi1, hi2) - np.maximum(lo1, lo2))
-    value = float(np.sum(overlap / mids**2 * widths))
-    if j == 0:
-        top_overlap = max(0.0, 1.0 - h)
-        tail = top_overlap / Y_CUTOFF
-    else:
-        tail = 0.0
-    return OverlapQuadrature(value=value, resolution=resolution, y_cutoff=y_hi, tail_bound=tail)
+    return float(np.sum(overlap / mids**2 * widths))

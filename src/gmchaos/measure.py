@@ -6,12 +6,12 @@ density is a positive unit-mean martingale in the depth.  :func:`densities`
 is the one path from fields to densities: it streams the blocks of
 sampler.block_fields through one running exponent and yields the density
 at each depth they end at.  A density is the array of its grid values, on
-the grid GridSpec(values.size).  Measure queries (dyadic masses and scans)
-use the left-endpoint rectangle rule, which makes dyadic additivity and the
-spectral decomposition identities exact at grid level.
+the grid GridSpec(values.size).  Measure queries (dyadic masses and their L2
+sums) use the left-endpoint rectangle rule, which makes dyadic additivity
+and the spectral decomposition identities exact at grid level.
 
-Moment and regularity probes sample exact low-dimensional Gaussians from the
-closed-form covariances instead of grid fields, so their statistics carry no
+The weight-moment probe samples the level field at one point from its exact
+normal law instead of a grid field, so its statistics carry no
 discretization bias.  The module writes no files: the CLI writes densities
 through harness.write_csv.
 """
@@ -27,10 +27,10 @@ from .sampler import GridSpec
 
 SQRT2 = math.sqrt(2.0)
 
-# Probe stream sub-tags, keeping the two Monte Carlo probe families on
-# disjoint key spaces.
+# Probe stream sub-tag of weight_moment_mc.  Tag 102 is reserved for the
+# Hoelder-moment probe of the acceptance suite (tests/probes.py), keeping the
+# two Monte Carlo probe families on disjoint key spaces.
 _MOMENT_PROBE = 101
-_HOLDER_PROBE = 102
 
 
 SUBCRITICAL = (False, SQRT2, "gamma must lie in [0, sqrt(2))")
@@ -93,32 +93,12 @@ def l2_sums(density: np.ndarray, levels) -> np.ndarray:
     return np.array([float(np.sum(dyadic_masses(density, lv) ** 2)) for lv in levels])
 
 
-def frostman_scan(density: np.ndarray, alpha: float, levels) -> np.ndarray:
-    """Per-level sup over dyadic intervals of mass(I) / |I|^alpha."""
-    alpha = geometry._number(alpha, "alpha")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    out = np.empty(len(levels))
-    for i, level in enumerate(levels):
-        masses = dyadic_masses(density, level)
-        out[i] = masses.max() * 2.0 ** (level * alpha)
-    return out
-
-
 def _moment_order(p: float) -> float:
-    """The moment order p of the weight and regularity moments, a positive number."""
+    """The moment order p of the weight moments, a positive number."""
     p = geometry._number(p, "moment order")
     if p <= 0:
         raise ValueError(f"moment order must be positive, got {p!r}")
     return p
-
-
-def _lag(j: int, h: float) -> float:
-    """The lag h of the regularity ratio at level j, a number in (0, 2^-j]."""
-    j, h = geometry._check_level(j), geometry._number(h, "lag")
-    if not 0.0 < h <= 2.0 ** (-j):
-        raise ValueError(f"lag must lie in (0, 2^-{j}], got {h!r}")
-    return h
 
 
 def weight_moment(gamma: float, j: int, p: float) -> float:
@@ -143,46 +123,3 @@ def weight_moment_mc(
     phi = gen.standard_normal(n_samples) * math.sqrt(var)
     values = np.exp(gamma * phi - 0.5 * gamma**2 * var) ** p
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
-
-
-def _pair_cholesky(j: int, h: float) -> np.ndarray:
-    var = geometry.level_variance(j)
-    cov = geometry.level_covariance(j, h)
-    return np.linalg.cholesky(np.array([[var, cov], [cov, var]]))
-
-
-def _holder_ratio(gamma: float, j: int, p: float, h: float, pair: np.ndarray) -> np.ndarray:
-    var = geometry.level_variance(j)
-    weights = np.exp(gamma * pair - 0.5 * gamma**2 * var)
-    return np.abs(weights[0] - weights[1]) ** p / (2.0**j * h) ** (p / 2.0)
-
-
-def holder_moment_probe(
-    gamma: float, j: int, p: float, h: float, n_samples: int, seed: int = 0
-) -> float:
-    """Monte Carlo regularity ratio E|X(h) - X(0)|^p / (2^j h)^(p/2).
-
-    Samples the exact bivariate normal of the level field at lag h; no grid
-    is involved.  Requires 0 < h <= 2^-j and at least 10^4 samples.
-    """
-    validate_gamma(gamma)
-    p, h = _moment_order(p), _lag(j, h)
-    n_samples, seed = geometry._integer(n_samples, "n_samples", 1), geometry._integer(seed, "seed", 0)
-    if n_samples < 10**4:
-        raise ValueError("regularity probes need at least 10^4 samples")
-    chol = _pair_cholesky(j, h)
-    gen = rng.probe_stream(seed, _HOLDER_PROBE, j, int(round(-math.log2(h))))
-    pair = chol @ gen.standard_normal((2, n_samples))
-    return float(_holder_ratio(gamma, j, p, h, pair).mean())
-
-
-def holder_moment_quadrature(gamma: float, j: int, p: float, h: float, order: int = 80) -> float:
-    """Gauss-Hermite evaluation of the regularity ratio (quadrature oracle)."""
-    validate_gamma(gamma)
-    p, h = _moment_order(p), _lag(j, h)
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    std_pair = SQRT2 * np.stack(np.meshgrid(nodes, nodes, indexing="ij")).reshape(2, -1)
-    w2 = np.outer(weights, weights).ravel() / math.pi
-    pair = _pair_cholesky(j, h) @ std_pair
-    return float(np.sum(w2 * _holder_ratio(gamma, j, p, h, pair)))
-

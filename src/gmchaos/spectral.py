@@ -10,10 +10,8 @@ over the dyadic intervals of generation k - 1 into localized
 contributions, computed here with the same left-endpoint rectangle rule as
 the global coefficients so that the split is exact at grid level.  The
 module also provides the Abel (summation-by-parts) transform of segment
-sums and a pathwise separation-of-variable bound on each localized
-contribution, with the bound split into deterministic frequency weights
-and pathwise scalars.  The module writes no files: the CLI writes
-coefficients through harness.write_csv.
+sums.  The module writes no files: the CLI writes coefficients through
+harness.write_csv.
 """
 
 from __future__ import annotations
@@ -106,7 +104,8 @@ def second_moment(gamma: float, depth: int, grid: GridSpec, n_max: int) -> np.nd
 
 def lq_norm(values, q: float):
     """Truncated l^q norm of coefficient vectors along the last axis."""
-    if q < 1:
+    q = geometry._number(q, "q")
+    if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q!r}")
     return np.sum(np.abs(np.asarray(values)) ** q, axis=-1) ** (1.0 / q)
 
@@ -213,99 +212,3 @@ def abel_segment_transform(values, interval, n: int) -> tuple[complex, complex]:
     boundary = values[-2] * phases[-1] - values[0] * phases[0]
     inner = np.sum((values[:-2] - values[1:-1]) * phases[1:-1])
     return complex(direct), complex((boundary + inner) / factor)
-
-
-@dataclass(frozen=True)
-class SeparationComponents:
-    """Frequency weights and pathwise scalars bounding one localized vector.
-
-    Row L of `direct_weights` carries n^(tau/2) on its frequency block
-    (row 0 covers 1..2^k, row L the block (2^(k+L-1), 2^(k+L)]);
-    `abel_weights` carries n^(tau/2 - 1) on the same blocks.  The bound is
-    weights times the pathwise residual masses and increment sums.
-    """
-
-    level_k: int
-    max_block: int
-    tau: float
-    slack: float
-    n: np.ndarray
-    direct_weights: np.ndarray
-    abel_weights: np.ndarray
-    residual_masses: np.ndarray
-    increment_sums: np.ndarray
-    bound: np.ndarray
-    localized_abs: np.ndarray
-    satisfied: np.ndarray
-
-    @property
-    def all_satisfied(self) -> bool:
-        return bool(self.satisfied.all())
-
-
-def separation_bound(
-    profile: np.ndarray,
-    interval: DyadicInterval,
-    tau: float,
-    max_block: int,
-    n_max: int | None = None,
-    slack: float = 1e-8,
-) -> SeparationComponents:
-    """Pathwise check |Y_I(n)| <= sum_L v_L(n) R_L + sum_L w_L(n) Q_L for the
-    centred profile of level k = interval.level + 1.
-
-    R_0 is the rectangle-rule mass of |profile| on the interval; for each
-    block L >= 1 the interval is split into 2^L equal pieces, R_L collects
-    the rectangle-rule mass of the deviation from the left-endpoint value,
-    and Q_L collects boundary values plus consecutive node differences
-    divided by 2 pi.  The verdict allows an additive quadrature slack.
-    """
-    tau = _check_tau(tau)
-    grid = GridSpec(profile.size)
-    k = interval.level + 1
-    if max_block < 1:
-        raise ValueError("max_block must be at least 1")
-    if k + max_block > grid.log2_size:
-        raise ValueError(
-            f"sub-partitions of level {k + max_block - 1} are finer than the grid; "
-            f"need level+1+max_block <= {grid.log2_size}"
-        )
-    n_max = grid.size // NYQUIST_FRACTION if n_max is None else n_max
-    n_max = min(_check_n_max(n_max, grid), 2 ** (k + max_block))
-
-    i_lo, i_hi = interval.grid_slice(grid)
-    local = profile[i_lo:i_hi]
-
-    residual = np.empty(max_block + 1)
-    increments = np.empty(max_block)
-    residual[0] = np.sum(np.abs(local)) / grid.size
-    for block in range(1, max_block + 1):
-        pieces = local.reshape(2**block, -1)
-        residual[block] = np.sum(np.abs(pieces - pieces[:, :1])) / grid.size
-        nodes = pieces[:, 0]
-        increments[block - 1] = (
-            abs(nodes[-1]) + abs(nodes[0]) + np.sum(np.abs(np.diff(nodes)))
-        ) / TWO_PI
-
-    n = np.arange(1, n_max + 1)
-    band = np.arange(max_block + 1)[:, None] == np.searchsorted(2 ** np.arange(k, k + max_block + 1), n)
-    direct_weights = np.where(band, decay_weights(n_max, tau), 0.0)
-    abel_weights = np.where(band[1:], n ** (tau / 2.0 - 1.0), 0.0)
-
-    bound = residual @ direct_weights + increments @ abel_weights
-    y_abs = np.abs(localized_vector(profile, interval, tau, n_max))
-    return SeparationComponents(
-        level_k=k,
-        max_block=max_block,
-        tau=tau,
-        n=n,
-        direct_weights=direct_weights,
-        abel_weights=abel_weights,
-        residual_masses=residual,
-        increment_sums=increments,
-        bound=bound,
-        localized_abs=y_abs,
-        slack=slack,
-        satisfied=y_abs <= bound + slack,
-    )
-

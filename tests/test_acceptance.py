@@ -3,10 +3,12 @@
 The statistical criteria run fixed-seed ensembles at desk scale; the
 exact-identity criteria run at machine precision.  Criteria 1, 3, 5 and 7
 call the identity checks of `gmchaos verify` (gmchaos.cli) at their own
-scale.  Criteria 2, 5 and 6 draw their levels one at a time; the ensemble
-criteria 8-13 sample through the library's own paths (the norm-depth blocks
-of run_replica, run_replica itself and the clt aggregate).  Shared ensembles
-are computed once per session.
+scale; criteria 4, 6 and 13 read the test-only probes of tests/probes.py,
+and criterion 12 averages the per-replica estimators.norm_powers that
+run_replica computes.  Criteria 2, 5 and 6 draw their levels one at a time;
+the ensemble criteria 8-13 sample through the library's own paths (the
+norm-depth blocks of run_replica, run_replica itself and the clt aggregate).
+Shared ensembles are computed once per session.
 """
 
 import math
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import gmchaos as gc
+import probes
 from gmchaos import cli, harness
 
 N_MAX = 2**12
@@ -49,41 +52,43 @@ def _replicas(replica):
 
 @pytest.fixture(scope="module")
 def gamma05_ensemble():
-    norm_depths = (6, 8, 10, 12)
+    norm_depths = [6, 8, 10, 12]
+    plan = gc.find_exponents(0.5, 0.5)
     s_levels = list(range(4, 11))
     frost_levels = list(range(6, 11))
 
     def replica(r):
-        parts = []
+        depth_norms = []
         fields = gc.block_fields((*norm_depths, DEPTH), GRID_SLOPE, SEED_GAMMA05, r)
         for depth, _, _, density in gc.densities(0.5, fields):
             if depth in norm_depths:
-                parts.append(gc.fourier_coefficients(density, N_MAX))
+                depth_norms.append(gc.norm_powers(gc.fourier_coefficients(density, N_MAX), 0.5, plan.p, plan.q))
         return (
             np.abs(gc.fourier_coefficients(density, N_MAX)) ** 2,
             gc.l2_sums(density, s_levels),
-            gc.frostman_scan(density, 0.3, frost_levels) if r < 50 else None,
-            parts,
+            probes.frostman_scan(density, 0.3, frost_levels) if r < 50 else None,
+            depth_norms,
         )
 
     abs2 = np.empty((REPS, N_MAX))
     s_sums = np.empty((REPS, len(s_levels)))
     frost = np.empty((50, len(frost_levels)))
-    spectra = {m: np.empty((REPS, N_MAX), dtype=complex) for m in norm_depths}
-    for r, (row, sums, scan, parts) in enumerate(_replicas(replica)):
+    norms = np.empty((len(norm_depths), REPS))  # one contiguous row per depth, as each mean reads it
+    for r, (row, sums, scan, depth_norms) in enumerate(_replicas(replica)):
         abs2[r] = row
         s_sums[r] = sums
         if r < 50:
             frost[r] = scan
-        for m, part in zip(norm_depths, parts):
-            spectra[m][r] = part
+        norms[:, r] = depth_norms
     return {
         "abs2": abs2,
         "s_levels": s_levels,
         "s_sums": s_sums,
         "frost_levels": frost_levels,
         "frost": frost,
-        "spectra_by_depth": spectra,
+        "plan": plan,
+        "norm_depths": norm_depths,
+        "norms": norms,
     }
 
 
@@ -156,11 +161,11 @@ def test_criterion_04_holder_moment_boundedness():
     for gamma in (0.3, 0.7, 1.0):
         for j in range(9):
             for h in (2.0 ** (-j - 1), 2.0 ** (-j - 4)):
-                value = gc.holder_moment_probe(gamma, j, 2.0, h, 2 * 10**4, seed=17 + j)
+                value = probes.holder_moment_probe(gamma, j, 2.0, h, 2 * 10**4, seed=17 + j)
                 worst = max(worst, value)
-    mc = gc.holder_moment_probe(0.5, 0, 2.0, 0.1, 10**5, seed=5)
-    quad = gc.holder_moment_quadrature(0.5, 0, 2.0, 0.1, order=80)
-    converged = gc.holder_moment_quadrature(0.5, 0, 2.0, 0.1, order=160)
+    mc = probes.holder_moment_probe(0.5, 0, 2.0, 0.1, 10**5, seed=5)
+    quad = probes.holder_moment_quadrature(0.5, 0, 2.0, 0.1, order=80)
+    converged = probes.holder_moment_quadrature(0.5, 0, 2.0, 0.1, order=160)
     quad_ok = abs(quad - converged) <= 1e-3
     mc_ok = abs(mc - quad) <= 0.05 * quad
     ok = worst <= 10.0 and quad_ok and mc_ok
@@ -199,9 +204,9 @@ def test_criterion_06_separation_bound():
                 if k in (3, 5):
                     profile = gc.centered_profile(prev, gamma, field, variance)
                     for interval in gc.dyadic_family(k - 1):
-                        comp = gc.separation_bound(profile, interval, tau, max_block=4, slack=1e-8)
+                        comp = probes.separation_bound(profile, interval, tau, max_block=4)
                         checked += comp.n.size
-                        all_ok = all_ok and comp.all_satisfied
+                        all_ok = all_ok and bool(np.all(comp.localized_abs <= comp.bound + 1e-8))
                         worst_excess = max(
                             worst_excess, float(np.max(comp.localized_abs - comp.bound))
                         )
@@ -273,10 +278,8 @@ def test_criterion_11_clt_rescaling():
 
 
 def test_criterion_12_uniform_bound_probe(gamma05_ensemble):
-    plan = gc.find_exponents(0.5, 0.5)
-    depths, means = gc.uniform_bound_probe(
-        0.5, 0.5, plan.p, plan.q, gamma05_ensemble["spectra_by_depth"]
-    )
+    plan, depths = gamma05_ensemble["plan"], gamma05_ensemble["norm_depths"]
+    means = gamma05_ensemble["norms"].mean(axis=1)
     ratio = float(means[-1] / means[0])
     ok = ratio <= 1.5 and bool(np.all(np.isfinite(means)))
     assert report(

@@ -214,30 +214,6 @@ def test_clt_profile_flat_for_matching_decay():
     assert values.max() / values.min() < 1.3
 
 
-def test_uniform_bound_probe_zero_spectra():
-    spectra = {m: np.zeros((8, 64), dtype=complex) for m in (2, 4, 6)}
-    depths, means = estimators.uniform_bound_probe(0.5, 0.5, 1.9, 16.0, spectra)
-    assert depths == [2, 4, 6]
-    assert np.allclose(means, 0.0)
-
-
-def test_uniform_bound_probe_rejects_infeasible():
-    spectra = {2: np.zeros((4, 16), dtype=complex)}
-    with pytest.raises(estimators.NoFeasibleExponentsError) as err:
-        estimators.uniform_bound_probe(1.3, 0.01, 1.9, 512.0, spectra)
-    assert "margin" in str(err.value)
-
-
-def test_uniform_bound_probe_finite_nonnegative():
-    gen = np.random.default_rng(9)
-    spectra = {
-        m: gen.standard_normal((16, 64)) + 1j * gen.standard_normal((16, 64)) for m in (2, 3)
-    }
-    _, means = estimators.uniform_bound_probe(0.5, 0.5, 1.9, 16.0, spectra)
-    assert np.all(means >= 0.0)
-    assert np.all(np.isfinite(means))
-
-
 def _write_slopes(fit, path):
     """The slope table as `report` writes it: integer block bounds, then the statistic."""
     harness.write_csv(path, "block_lo,block_hi,stat", [(int(lo), int(hi), y) for lo, hi, _, y in fit.blocks])

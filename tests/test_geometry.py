@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmchaos import geometry
+from gmchaos import estimators, geometry, spectral
 
 LN2 = math.log(2.0)
 
@@ -108,9 +108,9 @@ def test_region_difference_consistent_with_covariance():
 
 
 def test_quadrature_examples():
-    assert float(geometry.overlap_quadrature(0, 0.25, 2000)) == pytest.approx(0.75, abs=1e-4)
-    assert float(geometry.overlap_quadrature(1, 1.0, 500)) == 0.0
-    assert float(geometry.overlap_quadrature(2, 0.2, 2000)) == pytest.approx(0.293147, abs=1e-4)
+    assert geometry.overlap_quadrature(0, 0.25, 2000) == pytest.approx(0.75, abs=1e-4)
+    assert geometry.overlap_quadrature(1, 1.0, 500) == 0.0
+    assert geometry.overlap_quadrature(2, 0.2, 2000) == pytest.approx(0.293147, abs=1e-4)
 
 
 def test_quadrature_agrees_with_closed_form():
@@ -118,7 +118,7 @@ def test_quadrature_agrees_with_closed_form():
     for j in range(7):
         for h in lags:
             closed = geometry.level_covariance(j, float(h))
-            quad = float(geometry.overlap_quadrature(j, float(h), 2000))
+            quad = geometry.overlap_quadrature(j, float(h), 2000)
             assert abs(closed - quad) < 1e-3
 
 
@@ -126,25 +126,47 @@ def test_quadrature_agrees_with_closed_form():
 def test_quadrature_agrees_with_closed_form_at_random_lags(j, frac):
     h = frac * 2.0**-j  # in units of the level's support
     closed = geometry.level_covariance(j, h)
-    assert abs(closed - float(geometry.overlap_quadrature(j, h, 2000))) < 1e-3
+    assert abs(closed - geometry.overlap_quadrature(j, h, 2000)) < 1e-3
 
 
 def test_quadrature_converges_with_resolution():
-    coarse = abs(float(geometry.overlap_quadrature(3, 0.07, 200)) - geometry.level_covariance(3, 0.07))
-    fine = abs(float(geometry.overlap_quadrature(3, 0.07, 3200)) - geometry.level_covariance(3, 0.07))
+    coarse = abs(geometry.overlap_quadrature(3, 0.07, 200) - geometry.level_covariance(3, 0.07))
+    fine = abs(geometry.overlap_quadrature(3, 0.07, 3200) - geometry.level_covariance(3, 0.07))
     assert fine <= coarse
-
-
-def test_quadrature_metadata():
-    result = geometry.overlap_quadrature(0, 0.25, 2000)
-    assert result.resolution == 2000
-    assert result.y_cutoff == geometry.Y_CUTOFF
-    assert 0.0 < result.tail_bound <= 1e-4
-    deep = geometry.overlap_quadrature(3, 0.05, 500)
-    assert deep.tail_bound == 0.0
-    assert deep.y_cutoff == 0.25
 
 
 def test_quadrature_resolution_floor():
     with pytest.raises(ValueError):
         geometry.overlap_quadrature(1, 0.1, 99)
+
+
+NEGATIVE = "lags must be non-negative; take |t - s| before calling"
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: geometry.level_covariance(1, "0.25"), "lag must be a number, got '0.25'", id="string-lag"),
+        pytest.param(lambda: geometry.level_covariance(1, True), "lag must be a number, got True", id="bool-lag"),
+        pytest.param(lambda: geometry.level_covariance(1, [True, False]),
+                     "lags must be integers or floats, got dtype bool", id="bool-lags"),
+        pytest.param(lambda: geometry.cumulative_covariance(2, np.array(["0.25"])),
+                     "lags must be integers or floats, got dtype <U4", id="string-lags"),
+        pytest.param(lambda: geometry.level_covariance(1, NAN), NEGATIVE, id="nan-lag"),
+        pytest.param(lambda: geometry.level_covariance(1, np.array([0.1, NAN])), NEGATIVE, id="nan-in-lags"),
+        pytest.param(lambda: geometry.cumulative_covariance(3, NAN), NEGATIVE, id="nan-cumulative-lag"),
+        pytest.param(lambda: geometry.overlap_quadrature(1, NAN), NEGATIVE, id="nan-quadrature-lag"),
+        pytest.param(lambda: geometry.overlap_quadrature(0, 0.5, 2000.0),
+                     "resolution must be an integer, got 2000.0", id="float-resolution"),
+        pytest.param(lambda: spectral.lq_norm(np.ones(3), True), "q must be a number, got True", id="bool-q"),
+        pytest.param(lambda: spectral.lq_norm(np.ones(3), NAN), "q must be >= 1, got nan", id="nan-q"),
+        pytest.param(lambda: estimators.exponent_margin(0.5, 0.5, 1.5, NAN),
+                     "q must exceed 4/(1 - tau) = 8, got nan", id="nan-margin-q"),
+        pytest.param(lambda: estimators.exponent_margin(0.5, 0.5, "1.5", 16.0),
+                     "moment order must be a number, got '1.5'", id="string-margin-p"),
+    ],
+)
+def test_entries_refuse_a_non_number_or_nan_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -549,19 +549,20 @@ def test_replica_in_an_ensemble_allocates_no_grid_array(monkeypatch):
     assert len(peaks) == 4 and max(peaks) < 8 * config.grid_size, peaks
 
 
-def test_norm_sum_matches_uniform_bound_probe():
+def test_norm_sum_matches_norm_powers():
+    # report's uniform_bound, norm_sum / count, is the mean of norm_powers
+    # over each norm depth's stacked raw coefficient rows
     config = small_config(replicas=8)
     plan = config.exponents()
     result = harness.run_ensemble(config)
-    spectra = {}
-    for depth in config.norm_depths:
-        rows = []
-        for replica in range(config.replicas):
-            part = _stacked_densities(config, replica)[depth]
-            rows.append(spectral.fourier_coefficients(part, config.n_max))
-        spectra[depth] = np.array(rows)
-    depths, means = estimators.uniform_bound_probe(config.gamma, config.tau, plan.p, plan.q, spectra)
-    assert depths == list(config.norm_depths)
+    stacked = [_stacked_densities(config, replica) for replica in range(config.replicas)]
+    means = [
+        np.mean(estimators.norm_powers(
+            np.array([spectral.fourier_coefficients(densities[depth], config.n_max) for densities in stacked]),
+            config.tau, plan.p, plan.q,
+        ))
+        for depth in config.norm_depths
+    ]
     np.testing.assert_allclose(result.norm_sum / result.count, means, rtol=1e-12)
 
 

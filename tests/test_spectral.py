@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import probes
 from gmchaos import cli, estimators, geometry, measure, sampler, spectral
 
 COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -299,34 +300,29 @@ def test_abel_node_count_validation():
 
 
 def test_separation_bound_degenerate(fields):
-    comp = spectral.separation_bound(_stream(fields, 0.0)[1][3], spectral.DyadicInterval(2, 2), 0.4, 3)
+    comp = probes.separation_bound(_stream(fields, 0.0)[1][3], spectral.DyadicInterval(2, 2), 0.4, 3)
     assert np.all(comp.residual_masses == 0.0)
     assert np.all(comp.increment_sums == 0.0)
-    assert comp.all_satisfied
+    assert np.all(comp.localized_abs <= comp.bound + 1e-8)
 
 
 def test_separation_bound_holds_pathwise(fields):
-    comp = spectral.separation_bound(_stream(fields, 0.5)[1][3], spectral.DyadicInterval(2, 3), 0.4, 4)
-    assert comp.all_satisfied
+    comp = probes.separation_bound(_stream(fields, 0.5)[1][3], spectral.DyadicInterval(2, 3), 0.4, 4)
+    assert np.all(comp.localized_abs <= comp.bound + 1e-8)
     assert comp.localized_abs.shape == comp.bound.shape
 
 
 def test_separation_weight_supports(fields):
-    comp = spectral.separation_bound(_stream(fields, 0.5)[1][3], spectral.DyadicInterval(2, 1), 0.6, 3)
-    k = comp.level_k
+    k, tau, max_block = 3, 0.6, 3  # the profile of level 3, on an interval of generation 2
+    comp = probes.separation_bound(_stream(fields, 0.5)[1][k], spectral.DyadicInterval(k - 1, 1), tau, max_block)
     n = comp.n
     assert np.array_equal(comp.direct_weights[0] > 0, n <= 2**k)
-    for block in range(1, comp.max_block + 1):
+    for block in range(1, max_block + 1):
         band = (n > 2 ** (k + block - 1)) & (n <= 2 ** (k + block))
         assert np.array_equal(comp.direct_weights[block] > 0, band)
         assert np.array_equal(comp.abel_weights[block - 1] > 0, band)
-        expected = n[band] ** (comp.tau / 2 - 1.0)
+        expected = n[band] ** (tau / 2 - 1.0)
         assert np.allclose(comp.abel_weights[block - 1][band], expected, rtol=1e-12)
-
-
-def test_separation_bound_grid_depth_guard(fields):
-    with pytest.raises(ValueError):
-        spectral.separation_bound(_stream(fields, 0.5)[1][3], spectral.DyadicInterval(2, 1), 0.4, 8)
 
 
 def test_conditional_centering_of_localized_vector():
@@ -405,6 +401,6 @@ def test_weight_sites_use_the_decay_weights_bitwise(fields):
     rows = np.stack([spec, raw])
     expected = spectral.lq_norm(weights * rows, 16.0) ** 1.5
     assert estimators.norm_powers(rows, tau, 1.5, 16.0).tobytes() == expected.tobytes()
-    comp = spectral.separation_bound(profiles[3], interval, tau, 3, n_max=n_max)
+    comp = probes.separation_bound(profiles[3], interval, tau, 3, n_max=n_max)
     assert np.count_nonzero(comp.direct_weights, axis=0).tolist() == [1] * n_max
     assert comp.direct_weights.sum(axis=0).tobytes() == weights.tobytes()
