@@ -8,6 +8,7 @@ resulting densities are analyzed through Fourier coefficients, dyadic
 martingale decompositions and dimension estimators.
 """
 
+from . import harness
 from .estimators import (
     ExponentPlan,
     NoFeasibleExponentsError,
@@ -68,4 +69,4 @@ from .spectral import (
     segment_integral,
 )
 
-__version__ = "0.5.0"
+__version__ = harness.VERSION.removeprefix("gmchaos ")

@@ -47,7 +47,9 @@ def fourier_dimension(gamma: float) -> float:
 
 def power_law_spectrum(gamma: float, q: float) -> float:
     """Moment-scaling exponent (1 + gamma^2/2) q - gamma^2 q^2 / 2."""
-    g = measure.validate_gamma(gamma)
+    g, q = measure.validate_gamma(gamma), geometry._number(q, "q")
+    if math.isnan(q):
+        raise ValueError("q must not be nan")
     return (1.0 + g**2 / 2.0) * q - g**2 * q**2 / 2.0
 
 
@@ -64,7 +66,7 @@ def correlation_dimension(gamma: float) -> float:
 
 def decay_exponent_bound(gamma: float, p: float) -> float:
     """Decay exponent certified by moment order p: 2 + gamma^2 - gamma^2 p - 2/p."""
-    g = measure.validate_gamma(gamma)
+    g, p = measure.validate_gamma(gamma), geometry._number(p, "moment order")
     if not 1.0 < p <= 2.0:
         raise ValueError(f"moment order must lie in (1, 2], got {p!r}")
     return 2.0 + g**2 - g**2 * p - 2.0 / p

@@ -17,11 +17,12 @@ Aggregates are mergeable: counts and histograms merge exactly, floating
 accumulators merge associatively to rounding.  ExperimentConfig checks its
 fields with geometry's integer and number rules, as every library entry does.
 
-Block medians come from one sparse histogram of log|mu_hat|^2 per dyadic
-frequency block.  Its integer counts merge by addition, so the histogram
-does not depend on merge order, and a median read from it lies within half
-a bin of the exact pooled median of the same replicas.  block_stats gives
-each block's decay statistic, the list every decay fit of an ensemble reads.
+An ensemble keeps only the accumulator its statistic reads: log|mu_hat|^2
+summed per frequency (mean), or one sparse histogram of it per dyadic block
+(median), whose integer counts merge in any order to the same histogram; a
+median read from it lies within half a bin of the exact pooled median of the
+same replicas.  block_stats gives each block's decay statistic, the list
+every decay fit of an ensemble reads.
 
 The module writes the JSON archive (export_result), and every CSV table the
 CLI writes goes through its write_csv.
@@ -39,7 +40,7 @@ import numpy as np
 from . import estimators, geometry, measure, spectral
 from .sampler import GridSpec, block_fields, scratch_size
 
-VERSION = "gmchaos 0.5.0"
+VERSION = "gmchaos 0.6.0"
 
 # Bins per unit of log|mu_hat|^2: medians land within 1/512, far inside slope errors (~0.03).
 BINS_PER_UNIT = 256
@@ -168,29 +169,26 @@ class EnsembleResult:
     """Mergeable aggregate of replica statistics for one configuration.
 
     Every field after `config` is an accumulator that merges by addition;
-    `_accumulators` gives their empty values and FIELDS their names, which
-    empty_result, merge_results, equals, export_result and load_result walk.
+    log_abs2_sum is None unless the statistic is mean, histograms unless it
+    is median.  `_accumulators` gives the empty values and _NAMES the names.
     """
 
     config: ExperimentConfig
     count: int
     coeff_sum: np.ndarray
     abs2_sum: np.ndarray
-    log_abs2_sum: np.ndarray
     mass_sum: float
     mass_sq_sum: float
     level_sq_sum: np.ndarray
     norm_sum: np.ndarray
-    histograms: tuple[LogHistogram, ...]  # one per dyadic block, by exponent
+    log_abs2_sum: np.ndarray | None = None  # mean only
+    histograms: tuple[LogHistogram, ...] | None = None  # median only: one per dyadic block, by exponent
 
     def equals(self, other: "EnsembleResult") -> bool:
         """Same configuration and same archived accumulator values."""
         return self.config == other.config and all(
-            _same(getattr(self, name), getattr(other, name)) for name in FIELDS
+            _same(getattr(self, name), getattr(other, name)) for name in _NAMES[self.config.statistic]
         )
-
-
-FIELDS = tuple(f.name for f in fields(EnsembleResult) if f.name != "config")
 
 
 def _same(a, b) -> bool:
@@ -203,17 +201,24 @@ def _same(a, b) -> bool:
 
 
 def _accumulators(config: ExperimentConfig) -> dict:
-    return {
+    """Empty accumulators of config's ensembles, by name in archive order."""
+    n = config.n_max
+    shared = {
         "count": 0,
-        "coeff_sum": np.zeros(config.n_max, dtype=complex),
-        "abs2_sum": np.zeros(config.n_max),
-        "log_abs2_sum": np.zeros(config.n_max),
+        "coeff_sum": np.zeros(n, dtype=complex),
+        "abs2_sum": np.zeros(n),
         "mass_sum": 0.0,
         "mass_sq_sum": 0.0,
         "level_sq_sum": np.zeros(len(config.mass_levels)),
         "norm_sum": np.zeros(len(config.norm_depths)),
-        "histograms": tuple(LogHistogram.of(np.empty(0)) for _ in spectral.block_columns(config.n_max)),
     }
+    if config.statistic == "mean":
+        return {**shared, "log_abs2_sum": np.zeros(n)}
+    return {**shared, "histograms": tuple(LogHistogram.of(np.empty(0)) for _ in spectral.block_columns(n))}
+
+
+# Each statistic's accumulator names, read once from the smallest config, so a merge builds no empty values.
+_NAMES = {s: tuple(_accumulators(ExperimentConfig(0.0, 2, 8, 1, statistic=s))) for s in ("mean", "median")}
 
 
 def _add(a, b):
@@ -281,17 +286,19 @@ def _run(config: ExperimentConfig, ids: range) -> list[ReplicaRecord]:
 def _singleton(config: ExperimentConfig, record: ReplicaRecord) -> EnsembleResult:
     abs2 = np.abs(record.coefficients) ** 2
     log_abs2 = np.log(np.maximum(abs2, estimators.LOG_FLOOR))
+    own = {"log_abs2_sum": log_abs2} if config.statistic == "mean" else {
+        "histograms": tuple(LogHistogram.of(log_abs2[c]) for c in spectral.block_columns(config.n_max))
+    }
     return EnsembleResult(
         config=config,
         count=1,
         coeff_sum=record.coefficients.copy(),
         abs2_sum=abs2,
-        log_abs2_sum=log_abs2,
         mass_sum=record.total_mass,
         mass_sq_sum=record.total_mass**2,
         level_sq_sum=record.level_mass_sq.copy(),
         norm_sum=record.norm_powers.copy(),
-        histograms=tuple(LogHistogram.of(log_abs2[c]) for c in spectral.block_columns(config.n_max)),
+        **own,
     )
 
 
@@ -300,9 +307,8 @@ def merge_results(a: EnsembleResult, b: EnsembleResult) -> EnsembleResult:
     rounding."""
     if a.config != b.config:
         raise ValueError("cannot merge results with different configurations")
-    return EnsembleResult(
-        config=a.config, **{name: _add(getattr(a, name), getattr(b, name)) for name in FIELDS}
-    )
+    names = _NAMES[a.config.statistic]
+    return EnsembleResult(config=a.config, **{name: _add(getattr(a, name), getattr(b, name)) for name in names})
 
 
 def _tree_reduce(items, config: ExperimentConfig) -> EnsembleResult:
@@ -481,7 +487,7 @@ def _decode(data, empty):
     """An accumulator from its JSON value, shaped like its empty value."""
     if isinstance(empty, tuple):
         low = np.iinfo(np.int32).min
-        value = tuple(LogHistogram(_int32(h["bins"], low), _int32(h["counts"], 0)) for h in data)
+        value = tuple(LogHistogram(_int32(h["bins"], low), _int32(h["counts"], 1)) for h in data)
     elif isinstance(empty, np.ndarray):
         value = np.array(_numbers(data, {int, float}, "number"), dtype=float).view(empty.dtype)
     elif type(data) not in ({int} if type(empty) is int else {int, float}) or data < 0:
@@ -507,7 +513,7 @@ def export_result(result: EnsembleResult, fmt: str, path) -> None:
     """JSON is the archival format (loadable); CSV is the block-stat table."""
     if fmt == "json":
         payload = {"version": VERSION, "config": asdict(result.config)}
-        payload.update((name, getattr(result, name)) for name in FIELDS)
+        payload.update((name, getattr(result, name)) for name in _NAMES[result.config.statistic])
         encode = json.JSONEncoder(allow_nan=False).encode  # NaN and infinity are not JSON
         # The bytes of json.dumps, encoded in small pieces and written one by one.
         pieces = []
@@ -536,20 +542,21 @@ def load_result(path) -> EnsembleResult:
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != VERSION:
         raise ValueError(f"archive version {version!r} is not this library's {VERSION!r}")
-    _check_keys(payload, ("version", "config", *FIELDS), "archive")
     try:
-        config = config_from_dict(payload["config"])
+        config = config_from_dict(payload.get("config"))
     except ValueError as exc:
         raise ValueError(f"archive field 'config' is malformed: {exc}") from exc
+    _check_keys(payload, ("version", "config", *_NAMES[config.statistic]), f"{config.statistic} archive")
     values = {}
     for name, empty in _accumulators(config).items():
         try:
             values[name] = _decode(payload[name], empty)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"archive field {name!r} is malformed: {exc!r}") from exc
-    for a, (n, h) in enumerate(zip(spectral.block_frequencies(config.n_max), values["histograms"])):
-        increasing = h.bins.size == h.counts.size and np.all(np.diff(h.bins) > 0)
-        if not increasing or h.counts.sum() != values["count"] * len(n):
-            why = f"block {a} is not {values['count']} x {len(n)} values in strictly increasing bins"
-            raise ValueError(f"archive field 'histograms' is malformed: {why}")
+    if config.statistic == "median":
+        for a, (n, h) in enumerate(zip(spectral.block_frequencies(config.n_max), values["histograms"])):
+            increasing = h.bins.size == h.counts.size and np.all(np.diff(h.bins) > 0)
+            if not increasing or h.counts.sum() != values["count"] * len(n):
+                why = f"block {a} is not {values['count']} x {len(n)} values in strictly increasing bins"
+                raise ValueError(f"archive field 'histograms' is malformed: {why}")
     return EnsembleResult(config=config, **values)

@@ -96,7 +96,7 @@ def l2_sums(density: np.ndarray, levels) -> np.ndarray:
 def _moment_order(p: float) -> float:
     """The moment order p of the weight moments, a positive number."""
     p = geometry._number(p, "moment order")
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"moment order must be positive, got {p!r}")
     return p
 

@@ -28,14 +28,14 @@ REPORT_INPUT = harness.ExperimentConfig(
 )
 
 GOLDEN = {
-    "spectrum_median.json": "bf57a08f26c731d97ad405c182005cb8a0b4ed3eca571ec8574604e8b6caee05",
-    "spectrum_mean_tau.json": "98e9f33dbbd29d50851b2790525a3ef43f17ba5c732859607a1f8781a72cc697",
+    "spectrum_median.json": "de7f404745e5a8fd815534157d3fe9d59d0cbf39a2f2e5e846925145e159d017",
+    "spectrum_mean_tau.json": "41adaa27b2b25cd02b4ccf222a18112ae71ca3bf8978403e375c7bfd685af9c3",
     "spectrum_median.csv": "4235d19c48777d8d70891efbe96fd2aa44504873634e0e8c71b1a4b84d4b0069",
     "clt.csv": "301b2c25296601e95737785a2533c50cfec7731e33fb86974401a1eea6d43c84",
-    "report_input.json": "7a2df7d6b65d094e72d26e9418f4522696c3e93bbd02afbb579308defc2d0a09",
+    "report_input.json": "696d9c8f087fd3498a1a610ad68deb7d34c929fee0f3f2b71201788e6c2b9071",
     "report/blocks.csv": "10bbac1e57ed7621a209c19048d161fb603f0e4acc28dead569ca58ea482f7c3",
     "report/slopes.csv": "c14b46a6e0558e4a4eb94bf2fe56dd4e62c001f5120b0740d6d27198249dd54d",
-    "report/summary.json": "c87a7ce03e14a7e3494d21b98988ff3bfd87abe264fddc79f8e21b6aa8964edc",
+    "report/summary.json": "19fa99511a716a56c6dc2b923e014150f078e09025e4613057dd88eb9aa6cccb",
     "simulate/density.csv": "cd11cf7fd08e120774219359457a085f4686758ee109d7d841a27aa862fe1b11",
     "simulate/spectrum.csv": "10816275d926711cce0dd9aae79c42928c9fa00bb6471da9f280127adccad9bb",
     "verify_seed_20240.txt": "361897865a477e809cffc40431dc2524ef8eef0165cf8f523507e00ccf505f68",

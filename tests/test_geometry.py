@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmchaos import estimators, geometry, spectral
+from gmchaos import estimators, geometry, measure, spectral
 
 LN2 = math.log(2.0)
 
@@ -165,6 +165,15 @@ NAN = float("nan")
                      "q must exceed 4/(1 - tau) = 8, got nan", id="nan-margin-q"),
         pytest.param(lambda: estimators.exponent_margin(0.5, 0.5, "1.5", 16.0),
                      "moment order must be a number, got '1.5'", id="string-margin-p"),
+        pytest.param(lambda: measure.weight_moment(0.5, 0, NAN), "moment order must be positive, got nan",
+                     id="nan-moment-order"),
+        pytest.param(lambda: measure.weight_moment_mc(0.5, 0, NAN, 100), "moment order must be positive, got nan",
+                     id="nan-mc-moment-order"),
+        pytest.param(lambda: estimators.power_law_spectrum(0.5, NAN), "q must not be nan", id="nan-spectrum-q"),
+        pytest.param(lambda: estimators.power_law_spectrum(0.5, "2"), "q must be a number, got '2'",
+                     id="string-spectrum-q"),
+        pytest.param(lambda: estimators.decay_exponent_bound(0.5, "1.5"),
+                     "moment order must be a number, got '1.5'", id="string-bound-p"),
     ],
 )
 def test_entries_refuse_a_non_number_or_nan_by_name(call, message):

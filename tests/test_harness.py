@@ -180,9 +180,13 @@ TINY = dict(gamma=0.6, depth=5, grid_size=64, n_max=8, tau=0.3, seed=5,
             norm_depths=(3, 5), mass_levels=(1, 2))
 
 
-@given(cuts=st.lists(st.integers(1, 11), max_size=5, unique=True), data=st.data())
-def test_merge_is_exact_for_any_split_order_and_grouping(cuts, data):
-    config = harness.ExperimentConfig(replicas=12, **TINY)
+@given(
+    cuts=st.lists(st.integers(1, 11), max_size=5, unique=True),
+    statistic=st.sampled_from(["mean", "median"]),
+    data=st.data(),
+)
+def test_merge_is_exact_for_any_split_order_and_grouping(cuts, statistic, data):
+    config = harness.ExperimentConfig(replicas=12, statistic=statistic, **TINY)
     whole = harness.run_ensemble(config)
     bounds = [0, *sorted(cuts), config.replicas]
     parts = [harness.run_ensemble(config, replica_range=r) for r in zip(bounds, bounds[1:])]
@@ -191,12 +195,24 @@ def test_merge_is_exact_for_any_split_order_and_grouping(cuts, data):
         i = data.draw(st.integers(0, len(parts) - 2))
         parts[i : i + 2] = [harness.merge_results(parts[i], parts[i + 1])]
     merged = parts[0]
-    assert merged.count == whole.count
-    assert same_histograms(merged, whole)
-    for name in ("coeff_sum", "abs2_sum", "log_abs2_sum", "mass_sum", "mass_sq_sum",
-                 "level_sq_sum", "norm_sum"):
-        np.testing.assert_allclose(getattr(merged, name), getattr(whole, name),
-                                   rtol=1e-12, atol=1e-12)
+    for name in harness._accumulators(config):
+        if name == "histograms":
+            assert same_histograms(merged, whole)
+        else:
+            np.testing.assert_allclose(getattr(merged, name), getattr(whole, name), rtol=1e-12, atol=1e-12)
+
+
+@given(seed=st.integers(0, 2**32), replicas=st.integers(1, 5))
+def test_mean_and_median_ensembles_share_every_shared_accumulator_bitwise(seed, replicas):
+    mean, median = (
+        harness.run_ensemble(harness.ExperimentConfig(**{**TINY, "seed": seed, "replicas": replicas}, statistic=s))
+        for s in ("mean", "median")
+    )
+    shared = set(harness._accumulators(mean.config)) & set(harness._accumulators(median.config))
+    assert shared == {"count", "coeff_sum", "abs2_sum", "mass_sum", "mass_sq_sum", "level_sq_sum", "norm_sum"}
+    for name in shared:
+        assert np.asarray(getattr(mean, name)).tobytes() == np.asarray(getattr(median, name)).tobytes(), name
+    assert mean.histograms is None and median.log_abs2_sum is None
 
 
 @given(
@@ -230,7 +246,7 @@ def test_archive_bytes_are_json_dumps_of_the_payload(seed, replicas, statistic, 
     config = harness.ExperimentConfig(**{**TINY, "seed": seed, "replicas": replicas, "statistic": statistic})
     result = dataclasses.replace(harness.run_ensemble(config), mass_sum=mass_sum)
     payload = {"version": harness.VERSION, "config": dataclasses.asdict(config)}
-    for name in harness.FIELDS:
+    for name in harness._accumulators(config):
         value = getattr(result, name)
         if isinstance(value, tuple):
             value = [{"bins": h.bins.tolist(), "counts": h.counts.tolist()} for h in value]
@@ -374,18 +390,27 @@ def _reference_add(a, b):
 
 
 def _reference_merge(a, b):
-    sums = {name: getattr(a, name) + getattr(b, name) for name in harness.FIELDS if name != "histograms"}
-    return dataclasses.replace(a, **sums, histograms=tuple(map(_reference_add, a.histograms, b.histograms)))
+    sums = {}
+    for name in harness._accumulators(a.config):
+        x, y = getattr(a, name), getattr(b, name)
+        sums[name] = tuple(map(_reference_add, x, y)) if name == "histograms" else x + y
+    return dataclasses.replace(a, **sums)
 
 
 def _reference_ensemble(config, lo, hi):
-    """run_ensemble's fixed pairwise tree, with histograms built and merged by
-    np.unique and np.add.at."""
+    """run_ensemble's fixed pairwise tree, with the statistic's accumulator
+    built from each record's logs, histograms by np.unique and merged by
+    np.add.at."""
     items, columns = [], spectral.block_columns(config.n_max)
     for i in range(lo, hi):
-        single = harness._singleton(config, harness.run_replica(config, i))
-        histograms = tuple(_reference_of(single.log_abs2_sum[c]) for c in columns)
-        items.append(dataclasses.replace(single, histograms=histograms))
+        record = harness.run_replica(config, i)
+        single = harness._singleton(config, record)
+        logs = np.log(np.maximum(np.abs(record.coefficients) ** 2, estimators.LOG_FLOOR))
+        if config.statistic == "mean":
+            single = dataclasses.replace(single, log_abs2_sum=logs)
+        else:
+            single = dataclasses.replace(single, histograms=tuple(_reference_of(logs[c]) for c in columns))
+        items.append(single)
     while len(items) > 1:
         items = [
             _reference_merge(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
@@ -639,10 +664,10 @@ def test_l2_and_clt_from_result():
         harness.clt_profile_from_result(result, 4, 12)
 
 
-def _archive(tmp_path, **changes):
+def _archive(tmp_path, statistic="median", **changes):
     """A valid archive's payload with `changes` applied; None deletes a key."""
     path = tmp_path / "ensemble.json"
-    harness.export_result(harness.run_ensemble(small_config(replicas=2)), "json", path)
+    harness.export_result(harness.run_ensemble(small_config(replicas=2, statistic=statistic)), "json", path)
     payload = json.loads(path.read_text())
     for key, value in changes.items():
         if value is None:
@@ -659,7 +684,7 @@ def test_load_rejects_old_format_archive(tmp_path):
         tmp_path, version="gmchaos 0.1.0", histograms=None, abs2_sq_sum=[0.0] * 32,
         reservoirs={str(a): reservoir for a in range(6)},
     )
-    with pytest.raises(ValueError, match="'gmchaos 0.1.0'.*'gmchaos 0.5.0'"):
+    with pytest.raises(ValueError, match=f"'gmchaos 0.1.0'.*'{re.escape(harness.VERSION)}'"):
         harness.load_result(path)
 
 
@@ -676,6 +701,21 @@ def test_load_names_unknown_and_missing_keys(tmp_path):
     config = dataclasses.asdict(small_config(replicas=2))
     with pytest.raises(ValueError, match="config: missing keys \\[\\], unknown keys \\['fmt'\\]"):
         harness.load_result(_archive(tmp_path, config={**config, "fmt": "json"}))
+
+
+@pytest.mark.parametrize(
+    "statistic, changes, message",
+    [
+        ("median", {"log_abs2_sum": [0.0] * 32}, r"median archive: missing keys \[\], unknown keys \['log_abs2_sum'\]"),
+        ("mean", {"histograms": []}, r"mean archive: missing keys \[\], unknown keys \['histograms'\]"),
+        ("median", {"histograms": None}, r"median archive: missing keys \['histograms'\], unknown keys \[\]"),
+        ("mean", {"log_abs2_sum": None}, r"mean archive: missing keys \['log_abs2_sum'\], unknown keys \[\]"),
+    ],
+    ids=["median-with-log-sums", "mean-with-histograms", "median-without-histograms", "mean-without-log-sums"],
+)
+def test_load_refuses_an_accumulator_its_statistic_does_not_keep(tmp_path, statistic, changes, message):
+    with pytest.raises(ValueError, match=message):
+        harness.load_result(_archive(tmp_path, statistic, **changes))
 
 
 def test_load_names_malformed_field(tmp_path):
@@ -739,6 +779,12 @@ def _shuffle_block_bins(payload):
     bins[0], bins[-1] = bins[-1], bins[0]
 
 
+def _append_empty_bin(payload):
+    block = payload["histograms"][3]
+    block["bins"].append(block["bins"][-1] + 5)
+    block["counts"].append(0)
+
+
 def _entry(value, *keys):
     """A change that puts `value` at payload[keys[0]][keys[1]]..."""
 
@@ -755,6 +801,7 @@ def _entry(value, *keys):
     "change, message",
     [
         (_shuffle_block_bins, r"'histograms' is malformed: block 4 is not 2 x 16 values in strictly"),
+        (_append_empty_bin, r"'histograms' is malformed: .*integer outside 1\.\.2147483647"),
         ({"count": 7}, r"'histograms' is malformed: block 0 is not 7 x 1 values"),
         ({"count": -40}, r"'count' is malformed: ValueError\('-40 is not a non-negative int'\)"),
         ({"count": "40"}, r"'count' is malformed: ValueError\(\"'40' is not a non-negative int\"\)"),
@@ -779,7 +826,7 @@ def _entry(value, *keys):
         (_entry(32.0, "config", "n_max"), r"'config' is malformed: n_max must be an integer, got 32.0$"),
         (_entry(2.7, "config", "mass_levels", 0), r"'config' is malformed: mass_levels entry must be .*2.7$"),
     ],
-    ids=["unsorted-bins", "count-7", "count-negative", "count-string", "count-float", "count-bool",
+    ids=["unsorted-bins", "empty-bin", "count-7", "count-negative", "count-string", "count-float", "count-bool",
          "mass-sum-string", "abs2-sum-string", "abs2-sum-bool", "coeff-sum-bool", "counts-string",
          "bins-string", "counts-bool", "config-not-object", "gamma-string", "tau-string",
          "depth-float", "depth-string", "seed-float", "seed-string", "replicas-bool",
@@ -836,7 +883,7 @@ def test_run_ensemble_refuses_bad_workers_before_any_replica(monkeypatch, worker
 
 
 def test_package_archive_and_project_versions_agree():
-    tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
-    assert gmchaos.__version__ == project["version"]
-    assert harness.VERSION == f"gmchaos {project['version']}"
+    # a regex, not tomllib: the project supports Python 3.10
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', text, re.MULTILINE) == [gmchaos.__version__]
+    assert harness.VERSION == f"gmchaos {gmchaos.__version__}"
