@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # a refused input is a usage error
+    except (ValueError, OSError) as exc:  # a refused input or an unusable path (named) is a usage error
         parser.error(str(exc))
 
 

@@ -136,7 +136,7 @@ class SlopeFit:
 
     slope: float
     intercept: float
-    stderr: float
+    stderr: float | None  # None for a two-point fit
     lo: float
     hi: float
     statistic: str
@@ -150,17 +150,17 @@ def _slope_fit(blocks, statistic: str) -> SlopeFit:
     return SlopeFit(slope, intercept, stderr, blocks[0][0], blocks[-1][1], statistic, tuple(blocks))
 
 
-def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Ordinary least squares with the usual slope standard error."""
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float | None]:
+    """Ordinary least squares with the usual slope standard error, None
+    (JSON null) for a two-point line, which has no residual to estimate it."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
+    stderr = None
     if x.size > 2:
         resid = y - (slope * x + intercept)
         stderr = math.sqrt(resid @ resid / (x.size - 2) / np.sum((x - x.mean()) ** 2))
-    else:
-        stderr = float("nan")
-    return float(slope), float(intercept), float(stderr)
+    return float(slope), float(intercept), stderr
 
 
 def dyadic_block_fit(stats, n_lo: int, n_hi: int, n_max: int, statistic: str) -> SlopeFit:

@@ -9,10 +9,10 @@ were scheduled.  With several workers the replicas run on threads of the
 calling process: numpy's FFTs, normal draws and exp release the interpreter
 lock, and all threads share the sampler's cache of block filters.  Each
 worker, the calling thread when serial, runs one contiguous run of replica
-ids in one work array, passed to run_replica, in which it colours,
-exponentiates and transforms every replica of the run.  The calling
-thread then feeds the tree one replica's aggregate at a time, as a binary
-counter holding at most log2(R) + 1 aggregates (the R records stay).
+ids, and each replica colours, exponentiates and transforms in one work
+block of its own.  The calling thread then feeds the tree one replica's
+aggregate at a time, as a binary counter holding at most log2(R) + 1
+aggregates (the R records stay).
 Aggregates are mergeable: counts and histograms merge exactly, floating
 accumulators merge associatively to rounding.  ExperimentConfig checks its
 fields with geometry's integer and number rules, as every library entry does.
@@ -232,45 +232,44 @@ def empty_result(config: ExperimentConfig) -> EnsembleResult:
 
 
 def _work(grid: GridSpec) -> np.ndarray:
-    """Work array for any replica on `grid`: the sampler's scratch, then the
-    running exponent and the density, in one allocation.  Freed, that one
-    block of 6G floats lifts glibc's dynamic mmap threshold above the FFTs'
-    own scratch, which then stays on the heap: at grid 2^16 a replica in a
-    later ensemble takes about 0 minor page faults, against about 600 with
-    four arrays."""
+    """A replica's work block: the sampler's scratch, then the running
+    exponent and the density, in one allocation.  Freed, that one block of
+    6G floats lifts glibc's dynamic mmap threshold above the FFTs' own
+    scratch, which then stays on the heap: a warmed serial ensemble of 8
+    replicas at grid 2^16 takes about 2 minor page faults, against about
+    7,900 with the scratch, the density pair and the FFT outputs as
+    separate arrays."""
     return np.empty(scratch_size(grid) + 2 * grid.size)
 
 
-def run_replica(config: ExperimentConfig, replica_id: int, work: np.ndarray | None = None) -> ReplicaRecord:
+def run_replica(config: ExperimentConfig, replica_id: int) -> ReplicaRecord:
     """One replica: field blocks, density, spectrum and derived statistics.
 
     Only the depths the replica reads are sampled: one field per block of
     levels ending at a norm depth or at the construction depth, streamed
-    through measure.densities.  Every grid-sized array is a slice of
-    `work`, a float64 array of 6G + 2 entries whose contents do not matter
-    (None allocates one): the sampler's scratch, then the running exponent
-    and the density.  Each density's real FFT is taken into the head of the
-    scratch, spent by then.  Deterministic in (config.seed, replica_id);
-    every stochastic stream is keyed by that pair.
+    through measure.densities.  Every grid-sized array is a slice of one
+    work block of 6G + 2 floats, allocated per replica by _work: the
+    sampler's scratch, then the running exponent and the density.  Each
+    density's real FFT is taken once, into the head of the scratch, spent
+    by then.  Deterministic in (config.seed, replica_id); every stochastic
+    stream is keyed by that pair.
     """
     g = config.grid_size
-    work = _work(config.grid) if work is None else work
-    if work.dtype != float or work.shape != (scratch_size(config.grid) + 2 * g,):
-        raise ValueError(f"work must be a float64 array of 6G + 2 entries for grid size {g}")
+    work = _work(config.grid)
     spectrum = work[: g + 2].view(complex)
     depths = sorted({*config.norm_depths, config.depth})
     fields = block_fields(depths, config.grid, config.seed, replica_id, work)
     plan = config.exponents()
     norms = np.zeros(len(config.norm_depths))
     for depth, _, _, density in measure.densities(config.gamma, fields, work[-2 * g :]):
+        coefficients = spectral.fourier_coefficients(density, config.n_max, spectrum)
         if plan is not None and depth in config.norm_depths:
-            coefficients = spectral.fourier_coefficients(density, config.n_max, spectrum)
             norms[config.norm_depths.index(depth)] = estimators.norm_powers(
                 coefficients, config.tau, plan.p, plan.q
             )
     return ReplicaRecord(
         replica=int(replica_id),
-        coefficients=spectral.fourier_coefficients(density, config.n_max, spectrum),
+        coefficients=coefficients,
         total_mass=float(density.mean()),
         level_mass_sq=measure.l2_sums(density, config.mass_levels),
         norm_powers=norms,
@@ -278,9 +277,7 @@ def run_replica(config: ExperimentConfig, replica_id: int, work: np.ndarray | No
 
 
 def _run(config: ExperimentConfig, ids: range) -> list[ReplicaRecord]:
-    """run_replica over `ids` in order, all in one work array."""
-    work = _work(config.grid)
-    return [run_replica(config, i, work) for i in ids]
+    return [run_replica(config, i) for i in ids]
 
 
 def _singleton(config: ExperimentConfig, record: ReplicaRecord) -> EnsembleResult:
@@ -338,10 +335,9 @@ def run_ensemble(
 
     The ids are cut into min(workers, replicas) contiguous runs in id order,
     one per worker: serially one run on the calling thread, else one per
-    pool thread.  Each run allocates one work array and hands it to every
-    run_replica call of the run.  The reduction follows a fixed pairwise
-    tree over the id order, so any number of workers produces identical
-    bytes; the calling thread feeds it one singleton at a time after the pool.
+    pool thread.  The reduction follows a fixed pairwise tree over the id
+    order, so any number of workers produces identical bytes; the calling
+    thread feeds it one singleton at a time after the pool.
     """
     if workers is not None:
         geometry._integer(workers, "workers", 1)

@@ -145,17 +145,17 @@ def scratch_size(grid: GridSpec) -> int:
 def _block_field(lo: int, hi: int, grid: GridSpec, seed: int, replica: int, work: np.ndarray) -> np.ndarray:
     """The block's field at the grid points: a view of the first G points of
     its P-point transform, coloured in the first scratch_size(grid) floats
-    of `work`."""
+    of `work`.  Each noise part is drawn into the transform's head and
+    multiplied by the filter into the half-spectrum in one pass, part by
+    part, since z *= root would cast root to a complex temporary."""
     root = _block_root(lo, hi, grid)
     period = 2 * (root.size - 1)
     z, transform = work[: 2 * root.size].view(complex), work[2 * grid.size + 2 :][:period]
     gen = rng.field_stream(seed, replica, *((lo,) if lo == hi else (lo, hi)))
     # real + i imag normals at frequencies 0..P/2, drawn in that order; irfft
     # drops the imaginary parts at 0 and P/2
-    z.real = gen.standard_normal(out=transform[: root.size])
-    z.imag = gen.standard_normal(out=transform[: root.size])
-    z.real *= root  # part by part: z *= root would cast root to a complex temporary
-    z.imag *= root
+    np.multiply(gen.standard_normal(out=transform[: root.size]), root, out=z.real)
+    np.multiply(gen.standard_normal(out=transform[: root.size]), root, out=z.imag)
     return np.fft.irfft(z, n=period, out=transform)[: grid.size]
 
 

@@ -381,3 +381,36 @@ def test_spectrum_refuses_before_any_replica(tmp_path, monkeypatch, capsys, flag
     assert usage_error(capsys, argv) == f"gmchaos: error: {message}"
     assert ran == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "spectrum", "simulate"])
+def test_an_unusable_path_is_a_usage_error_naming_it(tmp_path, capsys, command):
+    small = ["--gamma", "0.5", "--m", "7", "--grid", "256"]
+    if command == "report":  # an archive that is not there
+        path = tmp_path / "missing.json"
+        argv = ["report", "--in", str(path), "--out", str(tmp_path / "r")]
+    elif command == "spectrum":  # an output directory that is not there, found after the ensemble
+        path = tmp_path / "missing_dir" / "x.csv"
+        argv = ["spectrum", *small, "--nmax", "32", "--reps", "2", "--out", str(path)]
+    else:  # an output directory that is a file
+        path = tmp_path / "taken"
+        path.write_text("")
+        argv = ["simulate", *small, "--out", str(path)]
+    assert usage_error(capsys, argv).endswith(f": {str(path)!r}")
+
+
+def refuse_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_a_two_level_l2_fit_is_strict_json(tmp_path, capsys):
+    # two mass levels leave the L2 line no residual, so its stderr is null, not NaN
+    assert cli.main(["dims", "--gamma", "0.5", "--m", "6", "--grid", "256", "--nmax", "16", "--reps", "4",
+                     "--fit-lo", "1", "--level-lo", "2", "--level-hi", "3"]) == 0
+    assert json.loads(capsys.readouterr().out, parse_constant=refuse_constant)["l2"]["stderr"] is None
+    config = harness.ExperimentConfig(gamma=0.5, depth=7, grid_size=256, n_max=32, replicas=2, mass_levels=(2, 3))
+    harness.export_result(harness.run_ensemble(config), "json", tmp_path / "ens.json")
+    assert cli.main(["report", "--in", str(tmp_path / "ens.json"), "--out", str(tmp_path / "r"),
+                     "--fit-lo", "1"]) == 0
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text(), parse_constant=refuse_constant)
+    assert summary["l2"]["stderr"] is None

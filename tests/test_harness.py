@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -108,16 +109,6 @@ def test_replica_determinism_and_separation(monkeypatch):
         with pytest.raises(ValueError, match=f"^replica must be {message}$"):
             harness.run_replica(config, bad)
     assert opened == []
-
-
-@pytest.mark.parametrize(
-    "work",
-    [np.empty(6 * 256 + 1), np.empty(6 * 256 + 2, dtype=np.float32), np.empty((2, 3 * 256 + 1))],
-    ids=["short", "float32", "two-dimensional"],
-)
-def test_run_replica_refuses_a_wrong_work_array(work):
-    with pytest.raises(ValueError, match="float64 array of 6G \\+ 2 entries for grid size 256"):
-        harness.run_replica(small_config(), 0, work)
 
 
 def test_degenerate_gamma_replica():
@@ -281,7 +272,7 @@ def test_workers_run_in_the_calling_process(monkeypatch):
     pids = []
     run_replica = harness.run_replica
     monkeypatch.setattr(
-        harness, "run_replica", lambda config, i, work: pids.append(os.getpid()) or run_replica(config, i, work)
+        harness, "run_replica", lambda config, i: pids.append(os.getpid()) or run_replica(config, i)
     )
     harness.run_ensemble(small_config(replicas=4), workers=2)
     assert pids == [os.getpid()] * 4
@@ -492,25 +483,46 @@ def test_replica_statistics_are_the_kernels():
             assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
 
 
-def test_running_exponent_is_the_stacked_block_density():
-    # norm depths out of order: run_replica reads them in level order; a
-    # work array's old contents must not reach the record
+def nan_work(monkeypatch) -> list:
+    """Make every work block start NaN-filled, so no old contents can pass
+    for a value the replica computed; returns the list of blocks made."""
+    blocks, work = [], harness._work
+
+    def nan_block(grid):
+        block = np.full_like(work(grid), np.nan)
+        blocks.append(block)
+        return block
+
+    monkeypatch.setattr(harness, "_work", nan_block)
+    return blocks
+
+
+def test_running_exponent_is_the_stacked_block_density(monkeypatch):
+    # norm depths out of order: run_replica reads them in level order
     config = harness.ExperimentConfig(
         gamma=0.5, depth=14, grid_size=2**12, n_max=256, tau=0.3,
         norm_depths=(10, 6, 12, 8), mass_levels=(2, 5, 9),
     )
     plan = config.exponents()
+    nan_work(monkeypatch)
     for replica in range(2):
-        for work in (None, np.full(6 * config.grid_size + 2, np.nan)):
-            record = harness.run_replica(config, replica, work)
-            densities = _stacked_densities(config, replica)
-            density = densities[config.depth]
-            assert record.coefficients.tobytes() == spectral.fourier_coefficients(density, config.n_max).tobytes()
-            assert record.total_mass == float(density.mean())
-            assert record.level_mass_sq.tobytes() == measure.l2_sums(density, config.mass_levels).tobytes()
-            for depth, value in zip(config.norm_depths, record.norm_powers):
-                coefficients = spectral.fourier_coefficients(densities[depth], config.n_max)
-                assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
+        record = harness.run_replica(config, replica)
+        densities = _stacked_densities(config, replica)
+        density = densities[config.depth]
+        assert record.coefficients.tobytes() == spectral.fourier_coefficients(density, config.n_max).tobytes()
+        assert record.total_mass == float(density.mean())
+        assert record.level_mass_sq.tobytes() == measure.l2_sums(density, config.mass_levels).tobytes()
+        for depth, value in zip(config.norm_depths, record.norm_powers):
+            coefficients = spectral.fourier_coefficients(densities[depth], config.n_max)
+            assert value == estimators.norm_powers(coefficients, config.tau, plan.p, plan.q)
+
+
+@pytest.mark.parametrize("norm_depths", [(5, 7), (5,)])
+def test_each_read_depth_is_transformed_once(monkeypatch, norm_depths):
+    calls, transform = [], spectral.fourier_coefficients
+    monkeypatch.setattr(spectral, "fourier_coefficients", lambda *args: calls.append(1) or transform(*args))
+    harness.run_replica(small_config(norm_depths=norm_depths), 0)
+    assert len(calls) == len({*norm_depths, 7})
 
 
 def test_run_replica_peak_memory():
@@ -541,37 +553,17 @@ WORK_CONFIG = dict(
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_work_arrays_carry_nothing_between_blocks_or_replicas(tmp_path, monkeypatch, workers):
     # the 1.125G blocks colour in slices of the 2G block's arrays, and every
-    # replica's running exponent must restart at zero; each worker runs its
-    # replicas in one work array, and no more workers start than replicas
+    # replica's running exponent must start at zero in a NaN-filled block;
+    # each replica has a block of its own, and no more runs start than replicas
     config = harness.ExperimentConfig(**WORK_CONFIG, replicas=7)
     singles = [harness._singleton(config, harness.run_replica(config, i)) for i in range(7)]
     harness.export_result(harness._tree_reduce(singles, config), "json", tmp_path / "standalone.json")
-    works, run_replica = [], harness.run_replica
-    monkeypatch.setattr(harness, "run_replica", lambda *args: works.append(args[2]) or run_replica(*args))
+    blocks, runs, run = nan_work(monkeypatch), [], harness._run
+    monkeypatch.setattr(harness, "_run", lambda config, ids: runs.append(ids) or run(config, ids))
     harness.export_result(harness.run_ensemble(config, workers=workers), "json", tmp_path / "run.json")
     assert (tmp_path / "run.json").read_bytes() == (tmp_path / "standalone.json").read_bytes()
-    assert len(works) == 7 and len({id(work) for work in works}) == min(workers, 7)
-
-
-def test_replica_in_an_ensemble_allocates_no_grid_array(monkeypatch):
-    config = harness.ExperimentConfig(**WORK_CONFIG, replicas=4)
-    harness.run_replica(config, 0)  # fills the filter cache and the FFT plans
-    peaks, run_replica = [], harness.run_replica
-
-    def traced(config, i, work):
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        record = run_replica(config, i, work)
-        peaks.append(tracemalloc.get_traced_memory()[1] - start)
-        return record
-
-    monkeypatch.setattr(harness, "run_replica", traced)
-    tracemalloc.start()
-    try:
-        harness.run_ensemble(config)
-    finally:
-        tracemalloc.stop()
-    assert len(peaks) == 4 and max(peaks) < 8 * config.grid_size, peaks
+    assert len(blocks) == 7 and len(runs) == min(workers, 7)
+    assert sorted(i for ids in runs for i in ids) == list(range(7))
 
 
 def test_norm_sum_matches_norm_powers():
@@ -887,3 +879,12 @@ def test_package_archive_and_project_versions_agree():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert re.findall(r'^version = "(.*)"$', text, re.MULTILINE) == [gmchaos.__version__]
     assert harness.VERSION == f"gmchaos {gmchaos.__version__}"
+
+
+def test_every_source_and_test_file_parses_as_python_3_10():
+    # requires-python is >=3.10, while the suite may run on a later Python
+    root = Path(__file__).parents[1]
+    files = sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")])
+    assert len(files) > 10
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
