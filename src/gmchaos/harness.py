@@ -5,14 +5,13 @@ block per depth it reads, not one field per level, and streams the blocks
 through measure.densities, so it never holds more than one block.  An
 ensemble is the reduction of its replicas through a fixed pairwise
 summation tree, so the result is byte-identical no matter how the replicas
-were scheduled.  With several workers the replicas run on threads of the
-calling process: numpy's FFTs, normal draws and exp release the interpreter
-lock, and all threads share the sampler's cache of block filters.  Each
-worker, the calling thread when serial, runs one contiguous run of replica
-ids, and each replica colours, exponentiates and transforms in one work
-block of its own.  The calling thread then feeds the tree one replica's
-aggregate at a time, as a binary counter holding at most log2(R) + 1
-aggregates (the R records stay).
+were scheduled.  With several workers each replica id is one task on a
+pool of threads in the calling process: numpy's FFTs, normal draws and exp
+release the interpreter lock, and all threads share the sampler's cache of
+block filters.  Each replica colours, exponentiates and transforms in one
+work block of its own.  Once the pool has joined, the calling thread feeds
+the tree one replica's aggregate at a time, in id order, as a binary
+counter holding at most log2(R) + 1 aggregates (the R records stay).
 Aggregates are mergeable: counts and histograms merge exactly, floating
 accumulators merge associatively to rounding.  ExperimentConfig checks its
 fields with geometry's integer and number rules, as every library entry does.
@@ -276,10 +275,6 @@ def run_replica(config: ExperimentConfig, replica_id: int) -> ReplicaRecord:
     )
 
 
-def _run(config: ExperimentConfig, ids: range) -> list[ReplicaRecord]:
-    return [run_replica(config, i) for i in ids]
-
-
 def _singleton(config: ExperimentConfig, record: ReplicaRecord) -> EnsembleResult:
     abs2 = np.abs(record.coefficients) ** 2
     log_abs2 = np.log(np.maximum(abs2, estimators.LOG_FLOOR))
@@ -289,12 +284,12 @@ def _singleton(config: ExperimentConfig, record: ReplicaRecord) -> EnsembleResul
     return EnsembleResult(
         config=config,
         count=1,
-        coeff_sum=record.coefficients.copy(),
+        coeff_sum=record.coefficients,
         abs2_sum=abs2,
         mass_sum=record.total_mass,
         mass_sq_sum=record.total_mass**2,
-        level_sq_sum=record.level_mass_sq.copy(),
-        norm_sum=record.norm_powers.copy(),
+        level_sq_sum=record.level_mass_sq,
+        norm_sum=record.norm_powers,
         **own,
     )
 
@@ -328,19 +323,17 @@ def _tree_reduce(items, config: ExperimentConfig) -> EnsembleResult:
 def run_ensemble(
     config: ExperimentConfig,
     replica_range: tuple[int, int] | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> EnsembleResult:
     """Reduce run_replica over a replica id range (default 0..replicas),
     serially or on `workers` threads.
 
-    The ids are cut into min(workers, replicas) contiguous runs in id order,
-    one per worker: serially one run on the calling thread, else one per
-    pool thread.  The reduction follows a fixed pairwise tree over the id
-    order, so any number of workers produces identical bytes; the calling
-    thread feeds it one singleton at a time after the pool.
+    With several workers each replica id is one pool task, so a slow
+    replica holds up no other id; every record is read, in id order, once
+    the pool has joined.  The reduction follows a fixed pairwise tree over
+    the id order, so any number of workers produces identical bytes.
     """
-    if workers is not None:
-        geometry._integer(workers, "workers", 1)
+    workers = geometry._integer(workers, "workers", 1)
     try:
         lo, hi = replica_range if replica_range is not None else (0, config.replicas)
     except (TypeError, ValueError):
@@ -348,15 +341,13 @@ def run_ensemble(
     lo, hi = geometry._integer(lo, "replica_range entry"), geometry._integer(hi, "replica_range entry")
     if not 0 <= lo <= hi:
         raise ValueError(f"replica_range must have 0 <= lo <= hi, got ({lo}, {hi})")
-    count = min(workers or 1, hi - lo)
-    bounds = [lo + (hi - lo) * k // max(count, 1) for k in range(count + 1)]
-    runs = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-    if len(runs) > 1:
-        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-            parts = list(pool.map(_run, [config] * len(runs), runs))
+    if workers == 1:
+        records = [run_replica(config, i) for i in range(lo, hi)]
     else:
-        parts = [_run(config, ids) for ids in runs]
-    return _tree_reduce((_singleton(config, record) for part in parts for record in part), config)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_replica, config, i) for i in range(lo, hi)]
+        records = [future.result() for future in futures]
+    return _tree_reduce((_singleton(config, record) for record in records), config)
 
 
 # ---------------------------------------------------------------------------

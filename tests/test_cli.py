@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def test_config_file_keys_take_either_spelling(tmp_path, monkeypatch, capsys):
     seen = []
     run_ensemble = harness.run_ensemble
 
-    def recording_run(config, workers=None):
+    def recording_run(config, workers=1):
         seen.append(workers)
         return run_ensemble(config, workers=workers)
 
@@ -383,20 +384,41 @@ def test_spectrum_refuses_before_any_replica(tmp_path, monkeypatch, capsys, flag
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["report", "spectrum", "simulate"])
-def test_an_unusable_path_is_a_usage_error_naming_it(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["report", "spectrum", "clt", "simulate"])
+def test_an_unusable_path_is_a_usage_error_naming_it(tmp_path, monkeypatch, capsys, command):
+    # refused before any level of any replica is drawn
+    drawn, field_stream = [], rng.field_stream
+    monkeypatch.setattr(rng, "field_stream", lambda *key: drawn.append(key) or field_stream(*key))
     small = ["--gamma", "0.5", "--m", "7", "--grid", "256"]
     if command == "report":  # an archive that is not there
         path = tmp_path / "missing.json"
         argv = ["report", "--in", str(path), "--out", str(tmp_path / "r")]
-    elif command == "spectrum":  # an output directory that is not there, found after the ensemble
+    elif command == "spectrum":  # an output directory that is not there
         path = tmp_path / "missing_dir" / "x.csv"
         argv = ["spectrum", *small, "--nmax", "32", "--reps", "2", "--out", str(path)]
+    elif command == "clt":  # an output file that is a directory
+        path = tmp_path
+        argv = ["clt", *small, "--nmax", "32", "--reps", "100", "--block-lo", "2", "--block-hi", "4",
+                "--out", str(path)]
     else:  # an output directory that is a file
         path = tmp_path / "taken"
         path.write_text("")
         argv = ["simulate", *small, "--out", str(path)]
     assert usage_error(capsys, argv).endswith(f": {str(path)!r}")
+    assert drawn == []
+
+
+def test_every_readme_cli_line_parses():
+    # the README's CLI block: continuation lines joined, comments dropped,
+    # the elided `gmchaos spectrum ...` line skipped
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["gmchaos"] and "..." not in words]
+    assert len(commands) == 6
+    parser = cli.build_parser()
+    for words in commands:
+        parser.parse_args(words)
 
 
 def refuse_constant(token):

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -276,6 +277,24 @@ def test_workers_run_in_the_calling_process(monkeypatch):
     )
     harness.run_ensemble(small_config(replicas=4), workers=2)
     assert pids == [os.getpid()] * 4
+
+
+def test_a_stalled_replica_holds_up_no_other_id(monkeypatch):
+    # replica 0 waits until replica 1 has started: each id is a task of its
+    # own, so a free worker takes replica 1 while replica 0 waits
+    config = small_config(replicas=8)
+    serial = harness.run_ensemble(config)
+    started, run_replica = threading.Event(), harness.run_replica
+
+    def replica(config, i):
+        if i == 0:
+            assert started.wait(timeout=2), "replica 1 did not start while replica 0 waited"
+        elif i == 1:
+            started.set()
+        return run_replica(config, i)
+
+    monkeypatch.setattr(harness, "run_replica", replica)
+    assert harness.run_ensemble(config, workers=2).equals(serial)
 
 
 def test_total_mass_martingale():
@@ -554,16 +573,14 @@ WORK_CONFIG = dict(
 def test_work_arrays_carry_nothing_between_blocks_or_replicas(tmp_path, monkeypatch, workers):
     # the 1.125G blocks colour in slices of the 2G block's arrays, and every
     # replica's running exponent must start at zero in a NaN-filled block;
-    # each replica has a block of its own, and no more runs start than replicas
+    # each replica has a block of its own
     config = harness.ExperimentConfig(**WORK_CONFIG, replicas=7)
     singles = [harness._singleton(config, harness.run_replica(config, i)) for i in range(7)]
     harness.export_result(harness._tree_reduce(singles, config), "json", tmp_path / "standalone.json")
-    blocks, runs, run = nan_work(monkeypatch), [], harness._run
-    monkeypatch.setattr(harness, "_run", lambda config, ids: runs.append(ids) or run(config, ids))
+    blocks = nan_work(monkeypatch)
     harness.export_result(harness.run_ensemble(config, workers=workers), "json", tmp_path / "run.json")
     assert (tmp_path / "run.json").read_bytes() == (tmp_path / "standalone.json").read_bytes()
-    assert len(blocks) == 7 and len(runs) == min(workers, 7)
-    assert sorted(i for ids in runs for i in ids) == list(range(7))
+    assert len(blocks) == 7
 
 
 def test_norm_sum_matches_norm_powers():
@@ -863,8 +880,9 @@ def test_run_ensemble_refuses_bad_replica_range_before_any_replica(monkeypatch, 
         (2.5, "workers must be an integer, got 2.5"),
         (True, "workers must be an integer, got True"),
         ("2", "workers must be an integer, got '2'"),
+        (None, "workers must be an integer, got None"),
     ],
-    ids=["zero", "float", "bool", "string"],
+    ids=["zero", "float", "bool", "string", "none"],
 )
 def test_run_ensemble_refuses_bad_workers_before_any_replica(monkeypatch, workers, message):
     calls = []
